@@ -41,7 +41,7 @@ from .network import (
     bottleneck_split,
     chain_loss,
     end_to_end,
-    layer_gradients,
+    prefix_suffix_products,
 )
 from .oracle import RankDeficientDataError, rrr_oracle
 from .optim import STATUS_BUDGET, armijo_gd
@@ -151,10 +151,14 @@ def classify(
     escape certificate is constructed on the rank-deficient side; for
     ``REDUCIBLE_FULL_RANK`` the two super layers are attached.
     """
-    value = chain_loss(chain, loss)
-    grads = layer_gradients(chain, loss)
-    grad_norms = tuple(float(np.linalg.norm(g)) for g in grads)
-    convex_norm = float(np.linalg.norm(loss.gradient(end_to_end(chain))))
+    below, above = prefix_suffix_products(chain.factors)
+    value = loss.value(below[-1])
+    grad = loss.gradient(below[-1])
+    grad_norms = tuple(
+        float(np.linalg.norm(above[i].T @ grad @ below[i - 1].T))
+        for i in range(1, chain.k + 1)
+    )
+    convex_norm = float(np.linalg.norm(grad))
 
     split = bottleneck_split(chain)
     rank_above = rank_below = None
@@ -285,7 +289,6 @@ def descent_search(
     start = cert.perturbed_chain
     result = armijo_gd(
         factors=start.factors,
-        in_width=start.dims.widths[0],
         loss=loss,
         active_layers=active,
         max_steps=budget,

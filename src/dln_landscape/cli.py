@@ -137,6 +137,16 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_payload(args: argparse.Namespace, payload: dict, keys=None) -> int:
+    """Emit ``payload`` as JSON, or as ``key: value`` lines in ``keys`` order
+    (insertion order by default)."""
+    if args.format == "json":
+        _emit(args, _json_dump(payload))
+    else:
+        _emit(args, "".join(f"{key}: {payload[key]}\n" for key in keys or payload))
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -166,13 +176,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "seed": spec.seed,
         "loss": fmt_float(chain_loss(inst.chain, inst.loss)),
     }
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"{key}: {payload[key]}" for key in
-                 ("out", "dims", "construction", "loss_kind", "seed", "loss")]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_payload(args, payload)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -200,12 +204,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         save_certificate(args.out, cert)
     payload = dict(certificate_to_dict(cert))
     payload["out"] = str(args.out) if args.out else None
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_payload(args, payload, sorted(payload))
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
@@ -230,12 +229,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         payload["update"] = [[fmt_float(v) for v in row] for row in update]
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"{key}: {payload[key]}" for key in
-                 ("layer", "side", "amplification", "update_norm", "out")]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_payload(args, payload)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -257,13 +251,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "rank_below": final.rank_below,
         "out": str(args.out) if args.out else None,
     }
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"{key}: {payload[key]}" for key in
-                 ("status", "steps", "loss", "max_grad", "rank_above", "rank_below", "out")]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_payload(args, payload)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -284,12 +272,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.out:
         save_matrix_csv(args.out, fit.map)
         payload["out"] = str(args.out)
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_payload(args, payload, sorted(payload))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

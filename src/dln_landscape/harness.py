@@ -44,6 +44,7 @@ from .network import (
     DimensionSignature,
     LogCoshLoss,
     QuadraticLoss,
+    running_product,
 )
 from .optim import armijo_gd
 from .oracle import rrr_oracle
@@ -336,7 +337,10 @@ class TrainConfig:
     step_init: float = 1.0
     step_grow: float = 2.0
     min_step: float = 1e-18
-    seed: int | None = None  # provenance only; the trainer draws nothing
+
+    def __post_init__(self) -> None:
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -370,8 +374,8 @@ def train_gd(
     ``config.stop_grad_tol`` (status ``stalled-critical`` — first-order
     criticality says nothing about optimality; hand the result to the
     analyzer), when the step budget runs out, or when the line search
-    cannot find any decrease.  The recorded loss sequence is strictly
-    non-increasing by construction, and that is asserted.
+    cannot find any decrease.  The recorded loss sequence is
+    non-increasing by construction; a violation raises ``RuntimeError``.
 
     Ranks in the trajectory are those of the super-layer products at the
     canonical bottleneck cut; chains without an interior bottleneck record
@@ -385,19 +389,12 @@ def train_gd(
         if split_index is None:
             ra = rb = -1
         else:
-            above = factors[split_index]
-            for m in factors[split_index + 1 :]:
-                above = m @ above
-            below = factors[0]
-            for m in factors[1:split_index]:
-                below = m @ below
-            ra = numerical_rank(above, rank_tol)
-            rb = numerical_rank(below, rank_tol)
+            ra = numerical_rank(running_product(factors[split_index:]), rank_tol)
+            rb = numerical_rank(running_product(factors[:split_index]), rank_tol)
         points.append(TrajectoryPoint(step, value, max_grad, ra, rb))
 
     result = armijo_gd(
         factors=chain.factors,
-        in_width=chain.dims.widths[0],
         loss=loss,
         active_layers=list(range(1, k + 1)),
         max_steps=config.max_steps,
@@ -409,8 +406,11 @@ def train_gd(
         min_step=config.min_step,
         on_state=record,
     )
-    losses = [p.loss for p in points]
-    assert all(b <= a for a, b in zip(losses, losses[1:])), "loss increased during GD"
+    for a, b in zip(points, points[1:]):
+        if b.loss > a.loss:
+            raise RuntimeError(
+                f"loss increased during GD at step {b.step}: {a.loss!r} -> {b.loss!r}"
+            )
     return FactorChain(tuple(result.factors)), Trajectory(tuple(points), result.status)
 
 

@@ -82,8 +82,11 @@ def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
     A matrix whose largest singular value is exactly zero has rank 0.
     """
-    m = ensure_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
+    return _rank_of_spectrum(np.linalg.svd(ensure_matrix(m), compute_uv=False), rank_tol)
+
+
+def _rank_of_spectrum(s: np.ndarray, rank_tol: float) -> int:
+    """Numerical rank from singular values sorted in descending order."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rank_tol * s[0]))
@@ -103,18 +106,18 @@ def kernel_vector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     m = ensure_matrix(m)
     cols = m.shape[1]
-    if numerical_rank(m, rank_tol) == cols:
+    # full_matrices=True so trailing rows of vh span the kernel even for
+    # wide matrices where the thin SVD would stop at min(rows, cols).
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    rank = _rank_of_spectrum(s, rank_tol)
+    if rank == cols:
         raise FullColumnRankError(
             f"matrix of shape {m.shape} has full column rank at rank_tol={rank_tol:g}"
         )
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if rank == 0:
         w = np.zeros(cols)
         w[0] = 1.0
         return w
-    # full_matrices=True so trailing rows of vh span the kernel even for
-    # wide matrices where the thin SVD would stop at min(rows, cols).
-    _, _, vh = np.linalg.svd(m, full_matrices=True)
     w = vh[-1, :].copy()
     nonzero = np.nonzero(w)[0]
     if nonzero.size and w[nonzero[0]] < 0.0:

@@ -5,6 +5,11 @@ numbered 1..k throughout this package) whose product ``M_k @ ... @ M_1`` maps
 width ``d_0`` to width ``d_k``.  The composite objective is
 ``loss.value(M_k @ ... @ M_1)`` for a convex, differentiable ``loss``.
 
+This module owns the chain-product core used across the package:
+:func:`running_product` and :func:`prefix_suffix_products` work on plain
+sequences of arrays, so the optimizer, the trainer and the perturbation
+engine share them without building chain objects.
+
 The split utilities cut a chain at an interior layer of minimum width into
 the two "super layers" above and below the cut; most of the landscape
 analysis in this package happens at that level.
@@ -30,6 +35,8 @@ __all__ = [
     "LogCoshLoss",
     "TransposedLoss",
     "BottleneckSplit",
+    "running_product",
+    "prefix_suffix_products",
     "partial_product",
     "end_to_end",
     "chain_loss",
@@ -256,6 +263,33 @@ class TransposedLoss(ConvexLoss):
         return self.base.gradient(w.T).T
 
 
+def running_product(mats) -> np.ndarray:
+    """The product ``mats[n-1] @ ... @ mats[0]`` of a non-empty sequence,
+    accumulated from the bottom (the first array is applied first)."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = m @ out
+    return out
+
+
+def prefix_suffix_products(mats) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """All prefix and suffix products of a chain given as raw arrays.
+
+    Returns ``(below, above)`` with ``below[i] = M_i ... M_1`` and
+    ``above[i] = M_k ... M_{i+1}`` for ``i = 0..k``; ``below[0]`` and
+    ``above[k]`` are identities, so ``below[k]`` is the end-to-end product
+    and layer ``i`` sits between ``above[i]`` and ``below[i - 1]``.  Costs
+    O(k) matrix multiplies.
+    """
+    below = [np.eye(mats[0].shape[1])]
+    for m in mats:
+        below.append(m @ below[-1])
+    above = [np.eye(mats[-1].shape[0])]
+    for m in reversed(mats):
+        above.append(above[-1] @ m)
+    return below, above[::-1]
+
+
 def partial_product(chain: FactorChain, lo: int, hi: int) -> np.ndarray:
     """Product of layers ``hi, hi-1, ..., lo`` (``M_hi @ ... @ M_lo``).
 
@@ -270,15 +304,12 @@ def partial_product(chain: FactorChain, lo: int, hi: int) -> np.ndarray:
         raise IndexError(f"hi must be in 0..{k}, got {hi}")
     if hi < lo:
         return np.eye(chain.dims.widths[hi])
-    out = chain.factors[lo - 1]
-    for i in range(lo, hi):
-        out = chain.factors[i] @ out
-    return out
+    return running_product(chain.factors[lo - 1 : hi])
 
 
 def end_to_end(chain: FactorChain) -> np.ndarray:
     """The full product ``M_k @ ... @ M_1``."""
-    return partial_product(chain, 1, chain.k)
+    return running_product(chain.factors)
 
 
 def chain_loss(chain: FactorChain, loss: ConvexLoss) -> float:
@@ -301,23 +332,13 @@ def layer_gradients(chain: FactorChain, loss: ConvexLoss) -> list[np.ndarray]:
 
     Entry ``i - 1`` holds the gradient for layer ``i``:
     ``(M_k ... M_{i+1})^T  f'(W)  (M_{i-1} ... M_1)^T`` with ``W`` the
-    end-to-end product.  Computed from running prefix/suffix products, so the
+    end-to-end product.  Built on :func:`prefix_suffix_products`, so the
     whole list costs O(k) matrix multiplies.
     """
     _check_loss_shape(chain, loss)
-    k = chain.k
-    widths = chain.dims.widths
-
-    below = [np.eye(widths[0])]  # below[i] = M_i ... M_1
-    for i in range(k):
-        below.append(chain.factors[i] @ below[-1])
-    above = [None] * (k + 1)
-    above[k] = np.eye(widths[k])  # above[i] = M_k ... M_{i+1}
-    for i in range(k - 1, -1, -1):
-        above[i] = above[i + 1] @ chain.factors[i]
-
-    grad = loss.gradient(below[k])
-    return [above[i].T @ grad @ below[i - 1].T for i in range(1, k + 1)]
+    below, above = prefix_suffix_products(chain.factors)
+    grad = loss.gradient(below[-1])
+    return [above[i].T @ grad @ below[i - 1].T for i in range(1, chain.k + 1)]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Shared backtracking gradient-descent core.
+"""Backtracking gradient descent on raw layer arrays.
 
-Both the full-chain trainer and the post-escape descent search run the same
-loop: steepest descent on a chosen subset of layers with Armijo
-backtracking, strictly monotone by construction, single-threaded and
-deterministic.  Kept separate so the two callers cannot drift apart.
+The full-chain trainer (``harness.train_gd``) and the post-escape descent
+search (``analyze.descent_search``) both run this loop: steepest descent on
+a chosen subset of layers with Armijo backtracking, strictly monotone by
+construction, single-threaded and deterministic.  It works on plain arrays
+and takes its products from the ``network`` product core, so a step builds
+no chain objects and a line-search trial costs one running product.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import ConvexLoss
+from .network import ConvexLoss, prefix_suffix_products, running_product
 
 __all__ = ["GDResult", "armijo_gd"]
 
@@ -31,37 +33,8 @@ class GDResult:
     max_grad: float
 
 
-def _grads(
-    factors: Sequence[np.ndarray], in_width: int, loss: ConvexLoss
-) -> tuple[list[np.ndarray], float]:
-    """Layer gradients of the composite loss plus its value, from raw arrays.
-
-    Same prefix/suffix formula as ``network.layer_gradients``; duplicated
-    here on purpose so the inner loop avoids per-step chain construction.
-    """
-    k = len(factors)
-    below = [np.eye(in_width)]
-    for m in factors:
-        below.append(m @ below[-1])
-    above = [None] * (k + 1)
-    above[k] = np.eye(factors[-1].shape[0])
-    for i in range(k - 1, -1, -1):
-        above[i] = above[i + 1] @ factors[i]
-    grad = loss.gradient(below[k])
-    layer = [above[i].T @ grad @ below[i - 1].T for i in range(1, k + 1)]
-    return layer, loss.value(below[k])
-
-
-def _value(factors: Sequence[np.ndarray], loss: ConvexLoss) -> float:
-    product = factors[0]
-    for m in factors[1:]:
-        product = m @ product
-    return loss.value(product)
-
-
 def armijo_gd(
     factors: Sequence[np.ndarray],
-    in_width: int,
     loss: ConvexLoss,
     active_layers: Sequence[int],
     max_steps: int,
@@ -78,8 +51,9 @@ def armijo_gd(
     ``active_layers`` holds 1-based layer numbers; the rest stay frozen.
     The accepted step size carries over between iterations (grown by
     ``step_grow`` before each line search) so the loop adapts to the local
-    scale.  ``on_state`` is invoked with ``(step, factors, loss, max_grad)``
-    for the initial state (step 0) and after every accepted step.
+    scale.  A trial whose product overflows counts as a failed Armijo test.
+    ``on_state`` is invoked with ``(step, factors, loss, max_grad)`` for the
+    initial state (step 0) and after every accepted step.
 
     Stops with status ``stalled-critical`` when the largest active-layer
     gradient norm drops to ``stop_grad_tol``, ``budget-exhausted`` after
@@ -93,43 +67,40 @@ def armijo_gd(
         raise ValueError(f"active layers {active} out of range 1..{len(factors)}")
 
     current = [np.array(m, dtype=np.float64) for m in factors]
-    grads, value = _grads(current, in_width, loss)
-    max_grad = max(float(np.linalg.norm(grads[i - 1])) for i in active)
-    if on_state is not None:
-        on_state(0, current, value, max_grad)
-
+    value = loss.value(running_product(current))
     t = step_init
     steps = 0
-    status = STATUS_BUDGET
-    while steps < max_steps:
+    while True:
+        below, above = prefix_suffix_products(current)
+        grad = loss.gradient(below[-1])
+        grads = {i: above[i].T @ grad @ below[i - 1].T for i in active}
+        max_grad = max(float(np.linalg.norm(g)) for g in grads.values())
+        if on_state is not None:
+            on_state(steps, current, value, max_grad)
         if max_grad <= stop_grad_tol:
             status = STATUS_CRITICAL
             break
-        squared = sum(float(np.sum(grads[i - 1] ** 2)) for i in active)
-        t = min(t * step_grow, 1e12)
-        accepted = None
-        while t >= min_step:
-            trial = list(current)
-            for i in active:
-                trial[i - 1] = current[i - 1] - t * grads[i - 1]
-            trial_value = _value(trial, loss)
-            if trial_value <= value - armijo_c * t * squared:
-                accepted = (trial, trial_value)
-                break
-            t *= backtrack
-        if accepted is None:
-            status = STATUS_LINE_SEARCH
+        if steps >= max_steps:
+            status = STATUS_BUDGET
             break
-        current, value = accepted
-        grads, _ = _grads(current, in_width, loss)
+        squared = sum(float(np.sum(g**2)) for g in grads.values())
+        t = min(t * step_grow, 1e12)
+        # An overflowing trial counts as a failed Armijo test, silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t >= min_step:
+                trial = list(current)
+                for i in active:
+                    trial[i - 1] = current[i - 1] - t * grads[i]
+                product = running_product(trial)
+                trial_value = loss.value(product) if np.all(np.isfinite(product)) else np.inf
+                if trial_value <= value - armijo_c * t * squared:
+                    break
+                t *= backtrack
+            else:  # no step above min_step passed the Armijo test
+                status = STATUS_LINE_SEARCH
+                break
+        current, value = trial, trial_value
         steps += 1
-        max_grad = max(float(np.linalg.norm(grads[i - 1])) for i in active)
-        if on_state is not None:
-            on_state(steps, current, value, max_grad)
-    else:
-        status = STATUS_BUDGET
-    if max_grad <= stop_grad_tol:
-        status = STATUS_CRITICAL
     return GDResult(
         factors=current, loss=value, status=status, steps=steps, max_grad=max_grad
     )

@@ -36,9 +36,9 @@ from .network import (
     TransposedLoss,
     bottleneck_split,
     chain_loss,
-    end_to_end,
     make_split,
     partial_product,
+    prefix_suffix_products,
 )
 
 __all__ = [
@@ -162,10 +162,8 @@ def kernel_family(
         raise FullRankAboveError(
             f"upper super layer has full rank {d}; no kernel family exists"
         )
-    return [
-        kernel_vector(partial_product(chain, i + 1, chain.k), rank_tol)
-        for i in range(1, split.index + 1)
-    ]
+    _, above = prefix_suffix_products(chain.factors)
+    return [kernel_vector(above[i], rank_tol) for i in range(1, split.index + 1)]
 
 
 def apply_family(chain: FactorChain, family: InvariantFamily) -> FactorChain:
@@ -239,14 +237,9 @@ def escape_construction(
     :class:`FullRankAboveError` (use the mirrored entry point or accept the
     two-layer reduction), or :class:`ConstructionFailedError`.
     """
-    if split is None:
-        split = bottleneck_split(chain)
-        if split is None:
-            raise NoInteriorBottleneckError(
-                f"chain with widths {chain.dims.widths} has no interior "
-                "bottleneck; escape construction does not apply"
-            )
-    product = end_to_end(chain)
+    split = _split_or_raise(chain, split)
+    below, _ = prefix_suffix_products(chain.factors)
+    product = below[-1]
     grad = loss.gradient(product)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= tols.grad_tol:
@@ -267,7 +260,7 @@ def escape_construction(
     # contained in the gradient null space.
     containment_start = 0
     for i in range(1, j + 1):
-        scores = _row_scores(partial_product(chain, 1, i), grad)
+        scores = _row_scores(below[i], grad)
         if np.all(scores <= member_threshold):
             containment_start = i
             break
@@ -291,7 +284,7 @@ def escape_construction(
             vs[0] = delta * u
             current = chain.factor(1) + np.outer(kernels[0], vs[0])
         else:
-            current = partial_product(chain, 1, i0 - 1)
+            current = below[i0 - 1]
             pick = int(np.argmax(_row_scores(current, grad)))
             vs[i0 - 1] = delta * _basis(current.shape[0], pick)
             current = chain.factor(i0) @ current + np.outer(
@@ -380,13 +373,7 @@ def escape_construction_mirrored(
     the original one.  The returned certificate is expressed in the original
     frame (``side == "above"``).
     """
-    if split is None:
-        split = bottleneck_split(chain)
-        if split is None:
-            raise NoInteriorBottleneckError(
-                f"chain with widths {chain.dims.widths} has no interior "
-                "bottleneck; escape construction does not apply"
-            )
+    split = _split_or_raise(chain, split)
     k = chain.k
     rev = reversed_chain(chain)
     rev_split = make_split(rev, k - split.index)
@@ -453,6 +440,16 @@ def lift_perturbation(
         )
         return 1, update_t.T, amplification
     raise ValueError(f"side must be 'above' or 'below', got {side!r}")
+
+
+def _split_or_raise(chain: FactorChain, split: BottleneckSplit | None) -> BottleneckSplit:
+    split = split if split is not None else bottleneck_split(chain)
+    if split is None:
+        raise NoInteriorBottleneckError(
+            f"chain with widths {chain.dims.widths} has no interior "
+            "bottleneck; escape construction does not apply"
+        )
+    return split
 
 
 def _basis(n: int, index: int) -> np.ndarray:

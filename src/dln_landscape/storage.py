@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyze import Classification, CriticalPointReport
+from .analyze import CriticalPointReport
 from .harness import Trajectory, TrajectoryPoint
 from .network import ConvexLoss, FactorChain, LogCoshLoss, QuadraticLoss
 from .perturb import EscapeCertificate
@@ -78,7 +78,24 @@ def _read_manifest(directory: Path) -> dict:
     path = directory / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(f"no manifest.json under {directory}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return manifest
+
+
+def _field(block, key: str, directory: Path):
+    """``block[key]`` of a manifest, or a one-line ``ValueError``."""
+    if not isinstance(block, dict) or key not in block:
+        raise ValueError(f"manifest in {directory} lacks {key!r}")
+    return block[key]
+
+
+def _member(directory: Path, name) -> Path:
+    """A file named by a manifest; names that leave ``directory`` are refused."""
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ValueError(f"manifest in {directory} names {name!r}, not a file in that directory")
+    return directory / name
 
 
 def _factor_files(chain: FactorChain) -> list[str]:
@@ -129,12 +146,14 @@ def load_chain(directory) -> FactorChain:
     """Read just the factor chain from any manifest that lists factors."""
     directory = Path(directory)
     manifest = _read_manifest(directory)
-    factors = [load_matrix_csv(directory / name) for name in manifest["factors"]]
-    chain = FactorChain(tuple(factors))
-    if list(chain.dims.widths) != list(manifest["dims"]):
+    names = _field(manifest, "factors", directory)
+    dims = _field(manifest, "dims", directory)
+    if not isinstance(names, list):
+        raise ValueError(f"manifest in {directory} lists factors as {names!r}, not a list")
+    chain = FactorChain(tuple(load_matrix_csv(_member(directory, n)) for n in names))
+    if list(chain.dims.widths) != dims:
         raise ValueError(
-            f"manifest dims {manifest['dims']} disagree with stored factors "
-            f"{list(chain.dims.widths)}"
+            f"manifest dims {dims} disagree with stored factors {list(chain.dims.widths)}"
         )
     return chain
 
@@ -148,15 +167,17 @@ def load_instance(directory) -> tuple[FactorChain, ConvexLoss, dict]:
             f"{directory} holds {manifest.get('format')!r}, not an instance"
         )
     chain = load_chain(directory)
-    loss_block = manifest["loss"]
-    kind = loss_block["kind"]
+    loss_block = _field(manifest, "loss", directory)
+    kind = _field(loss_block, "kind", directory)
+    files = _field(loss_block, "files", directory)
+
+    def matrix(role: str) -> np.ndarray:
+        return load_matrix_csv(_member(directory, _field(files, role, directory)))
+
     if kind == "quadratic":
-        loss: ConvexLoss = QuadraticLoss(
-            load_matrix_csv(directory / loss_block["files"]["inputs"]),
-            load_matrix_csv(directory / loss_block["files"]["targets"]),
-        )
+        loss: ConvexLoss = QuadraticLoss(matrix("inputs"), matrix("targets"))
     elif kind == "logcosh":
-        loss = LogCoshLoss(load_matrix_csv(directory / loss_block["files"]["target"]))
+        loss = LogCoshLoss(matrix("target"))
     else:
         raise ValueError(f"unknown loss kind {kind!r} in {directory}")
     return chain, loss, manifest
@@ -276,7 +297,3 @@ def render_report_text(report: CriticalPointReport) -> str:
         for key, value in d["escape"].items():
             lines.append(f"escape.{key}: {value}")
     return "\n".join(lines) + "\n"
-
-
-def _label_from_value(value: str) -> Classification:
-    return Classification(value)

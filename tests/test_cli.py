@@ -15,6 +15,13 @@ from dln_landscape.storage import (
 )
 
 
+def _edit_manifest(directory, edit) -> None:
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
 def _gen(tmp_path, name, *extra):
     out = tmp_path / name
     args = ["gen", "--out", str(out), *extra]
@@ -88,6 +95,22 @@ class TestAnalyze:
     def test_missing_instance_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nowhere")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+    def test_manifest_without_loss_exits_1(self, tmp_path, capsys):
+        inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
+        _edit_manifest(inst, lambda m: m.pop("loss"))
+        capsys.readouterr()
+        assert main(["analyze", str(inst)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lacks 'loss'" in err
+
+    def test_factor_file_outside_instance_exits_1(self, tmp_path, capsys):
+        inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
+        _edit_manifest(inst, lambda m: m["factors"].__setitem__(0, "../inst/M1.csv"))
+        capsys.readouterr()
+        assert main(["analyze", str(inst)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestPerturb:
@@ -190,6 +213,14 @@ class TestTrain:
         from dln_landscape.network import chain_loss
         reloaded_loss = chain_loss(trained, loss)
         assert abs(reloaded_loss - float(payload["loss"])) <= 1e-12 * (1.0 + reloaded_loss)
+
+
+    def test_negative_max_steps_exits_1(self, tmp_path, capsys):
+        inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
+        capsys.readouterr()
+        assert main(["train", str(inst), "--max-steps", "-5"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_steps" in err
 
 
 class TestOracle:

@@ -1,6 +1,13 @@
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dln_landscape
 from dln_landscape.harness import (
     InfeasibleConstructionError,
     InstanceSpec,
@@ -229,3 +236,51 @@ class TestTrainGD:
         _, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=3))
         assert trajectory.points[0].rank_above == 2
         assert trajectory.points[0].rank_below == 2
+
+
+class TestTrainGDGuards:
+    def test_overflowing_trial_fails_armijo_instead_of_raising(self):
+        inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=1, data_scale=1e80))
+        trained, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=20))
+        assert trajectory.status in ("line-search-stalled", "budget-exhausted")
+        assert all(np.isfinite(p.loss) for p in trajectory.points)
+        assert chain_loss(trained, inst.loss) == trajectory.final.loss
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            TrainConfig(max_steps=-5)
+        assert TrainConfig(max_steps=0).max_steps == 0
+
+    def test_loss_increase_raises(self, monkeypatch):
+        monkeypatch.setattr(dln_landscape.harness, "armijo_gd", _rising_armijo)
+        chain, loss = canonical_plateau()
+        with pytest.raises(RuntimeError, match="loss increased"):
+            train_gd(chain, loss)
+
+    def test_loss_increase_raises_under_optimize_flag(self):
+        script = "\n".join([
+            inspect.getsource(_rising_armijo),
+            "import dln_landscape.harness as harness",
+            "from dln_landscape.verify import canonical_plateau",
+            "harness.armijo_gd = _rising_armijo",
+            "try:",
+            "    harness.train_gd(*canonical_plateau())",
+            "except RuntimeError:",
+            "    raise SystemExit(0)",
+            "raise SystemExit(1)",
+        ])
+        src = str(Path(dln_landscape.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+        assert done.returncode == 0
+
+
+def _rising_armijo(factors, loss, active_layers, max_steps, stop_grad_tol, on_state=None, **_):
+    """A descent stand-in that reports a loss increase.  Self-contained so its
+    source can run in the ``python -O`` subprocess."""
+    from dln_landscape.optim import GDResult
+
+    factors = list(factors)
+    on_state(0, factors, 1.0, 1.0)
+    on_state(1, factors, 2.0, 1.0)
+    return GDResult(factors=factors, loss=2.0, status="budget-exhausted", steps=1, max_grad=1.0)

@@ -218,3 +218,21 @@ class TestBestRankApprox:
             resid = np.linalg.norm(m - best_rank_approx(m, rank))
             expected = np.sqrt(np.sum(s[rank:] ** 2))
             assert abs(resid - expected) <= 1e-10 * (1.0 + expected)
+
+
+class TestKernelVectorCost:
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 3), (3, 3)])
+    def test_one_svd_per_call(self, monkeypatch, shape):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        m = _rng(5).standard_normal(shape)
+        m[:, -1] = m[:, 0]  # guarantee a kernel direction
+        w = kernel_vector(m)
+        assert len(calls) == 1
+        assert np.linalg.norm(m @ w) <= 1e-9 * np.linalg.norm(m)

@@ -18,6 +18,8 @@ from dln_landscape.network import (
     layer_gradients,
     make_split,
     partial_product,
+    prefix_suffix_products,
+    running_product,
     validate_loss_contract,
 )
 
@@ -265,6 +267,26 @@ class TestLayerGradients:
         loss = QuadraticLoss(_rng(11).standard_normal((3, 6)), _rng(12).standard_normal((3, 6)))
         for g, m in zip(layer_gradients(chain, loss), chain.factors):
             assert g.shape == m.shape
+
+
+class TestProductCore:
+    def test_running_product_accumulates_from_the_bottom(self):
+        chain = _random_chain((3, 4, 2, 5), seed=30)
+        m1, m2, m3 = chain.factors
+        assert np.array_equal(running_product(chain.factors), m3 @ (m2 @ m1))
+        assert running_product(chain.factors[:1]) is m1
+
+    def test_prefix_suffix_products_bracket_every_layer(self):
+        chain = _random_chain((3, 4, 2, 4, 3), seed=31)
+        below, above = prefix_suffix_products(chain.factors)
+        assert len(below) == len(above) == chain.k + 1
+        assert np.array_equal(below[0], np.eye(3))
+        assert np.array_equal(above[chain.k], np.eye(3))
+        for i in range(chain.k + 1):
+            assert np.allclose(below[i], partial_product(chain, 1, i), rtol=1e-12, atol=1e-12)
+            assert np.allclose(above[i], partial_product(chain, i + 1, chain.k),
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(above[i] @ below[i], end_to_end(chain), rtol=1e-12, atol=1e-12)
 
 
 class TestSplits:

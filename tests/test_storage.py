@@ -224,3 +224,55 @@ class TestReportRendering:
         a = render_report_text(classify(chain, loss))
         b = render_report_text(classify(chain, loss))
         assert a == b
+
+
+def _edit_manifest(directory, edit) -> None:
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestManifestChecks:
+    @pytest.fixture
+    def inst_dir(self, tmp_path):
+        inst = gen_instance(InstanceSpec(dims=(3, 2, 3), seed=5))
+        return save_instance(tmp_path / "inst", inst.chain, inst.loss)
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda m: m.pop("factors"),
+            lambda m: m.pop("dims"),
+            lambda m: m.pop("loss"),
+            lambda m: m["loss"].pop("kind"),
+            lambda m: m["loss"].pop("files"),
+            lambda m: m["loss"]["files"].pop("targets"),
+        ],
+        ids=["factors", "dims", "loss", "kind", "files", "targets"],
+    )
+    def test_missing_key_is_a_value_error(self, inst_dir, drop):
+        _edit_manifest(inst_dir, drop)
+        with pytest.raises(ValueError, match="lacks"):
+            load_instance(inst_dir)
+
+    def test_manifest_that_is_not_an_object_rejected(self, inst_dir):
+        (inst_dir / "manifest.json").write_text("[]", encoding="utf-8")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_instance(inst_dir)
+
+    def test_factor_outside_the_directory_rejected(self, inst_dir):
+        _edit_manifest(inst_dir, lambda m: m["factors"].__setitem__(0, "../inst/M1.csv"))
+        with pytest.raises(ValueError, match="not a file in that directory"):
+            load_chain(inst_dir)
+
+    def test_loss_file_outside_the_directory_rejected(self, inst_dir):
+        _edit_manifest(inst_dir, lambda m: m["loss"]["files"].__setitem__("inputs", "../inst/X.csv"))
+        with pytest.raises(ValueError, match="not a file in that directory"):
+            load_instance(inst_dir)
+
+    def test_absolute_file_name_rejected(self, inst_dir):
+        target = str((inst_dir / "M1.csv").resolve())
+        _edit_manifest(inst_dir, lambda m: m["factors"].__setitem__(0, target))
+        with pytest.raises(ValueError, match="not a file in that directory"):
+            load_chain(inst_dir)

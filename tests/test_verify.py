@@ -3,8 +3,10 @@ import pytest
 
 import dln_landscape.network
 from dln_landscape.analyze import Classification, classify
+from dln_landscape.linalg import Tolerances
 from dln_landscape.network import chain_loss, layer_gradients
 from dln_landscape.verify import (
+    _section_product_invariance,
     canonical_plateau,
     render_verify_json,
     render_verify_text,
@@ -92,3 +94,13 @@ class TestMutationIsCaught:
         assert not report.passed
         failed = {s.name for s in report.sections if not s.passed}
         assert "oracle_vs_restarts" in failed
+
+
+class TestSectionRobustness:
+    def test_failed_construction_is_a_failed_check(self):
+        # At this seed the delta = 1e-6 escape on trial 2 leaves a super-layer
+        # gradient just under grad_tol; the section must report it, not abort.
+        section = _section_product_invariance(5420985676390298508, 4, Tolerances())
+        assert section.passed is False
+        assert section.checks == 12
+        assert "below grad_tol" in section.detail
