@@ -100,10 +100,14 @@ def _dims(text: str) -> tuple[int, ...]:
     return widths
 
 
+def _add_rank_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol-rank", type=float, default=Tolerances().rank_tol,
+                   help="relative singular-value cutoff for numerical rank")
+
+
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
     defaults = Tolerances()
-    p.add_argument("--tol-rank", type=float, default=defaults.rank_tol,
-                   help="relative singular-value cutoff for numerical rank")
+    _add_rank_flag(p)
     p.add_argument("--tol-grad", type=float, default=defaults.grad_tol,
                    help="absolute Frobenius cutoff for 'gradient vanishes'")
     p.add_argument("--tol-invariance", type=float, default=defaults.invariance_tol,
@@ -330,7 +334,7 @@ def build_parser() -> _Parser:
                    help="CSV file with the desired super-layer change")
     p.add_argument("--side", choices=("above", "below"), default="above")
     p.add_argument("--out", default=None, help="CSV file for the layer update")
-    _add_tol_flags(p)
+    _add_rank_flag(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_lift)
 
@@ -341,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="CSV file for the trajectory")
     p.add_argument("--final-dir", default=None,
                    help="directory for the trained chain as a new instance")
-    _add_tol_flags(p)
+    _add_rank_flag(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_train)
 
@@ -350,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", type=int, default=None,
                    help="rank budget (default: the chain's minimum width)")
     p.add_argument("--out", default=None, help="CSV file for the optimal map")
-    _add_tol_flags(p)
+    _add_rank_flag(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_oracle)
 

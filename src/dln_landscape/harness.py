@@ -332,11 +332,6 @@ class TrainConfig:
 
     max_steps: int = 2000
     stop_grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step_init: float = 1.0
-    step_grow: float = 2.0
-    min_step: float = 1e-18
 
     def __post_init__(self) -> None:
         if self.max_steps < 0:
@@ -399,11 +394,6 @@ def train_gd(
         active_layers=list(range(1, k + 1)),
         max_steps=config.max_steps,
         stop_grad_tol=config.stop_grad_tol,
-        armijo_c=config.armijo_c,
-        backtrack=config.backtrack,
-        step_init=config.step_init,
-        step_grow=config.step_grow,
-        min_step=config.min_step,
         on_state=record,
     )
     for a, b in zip(points, points[1:]):

@@ -23,6 +23,14 @@ STATUS_CRITICAL = "stalled-critical"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_LINE_SEARCH = "line-search-stalled"
 
+# Armijo line search: sufficient-decrease factor, backtracking factor, first
+# trial step, growth of the carried-over step, smallest trial step.
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+STEP_INIT = 1.0
+STEP_GROW = 2.0
+MIN_STEP = 1e-18
+
 
 @dataclass
 class GDResult:
@@ -39,18 +47,13 @@ def armijo_gd(
     active_layers: Sequence[int],
     max_steps: int,
     stop_grad_tol: float,
-    armijo_c: float = 1e-4,
-    backtrack: float = 0.5,
-    step_init: float = 1.0,
-    step_grow: float = 2.0,
-    min_step: float = 1e-18,
     on_state: Callable[[int, list[np.ndarray], float, float], None] | None = None,
 ) -> GDResult:
     """Steepest descent with Armijo backtracking on selected layers.
 
     ``active_layers`` holds 1-based layer numbers; the rest stay frozen.
     The accepted step size carries over between iterations (grown by
-    ``step_grow`` before each line search) so the loop adapts to the local
+    ``STEP_GROW`` before each line search) so the loop adapts to the local
     scale.  A trial whose product overflows counts as a failed Armijo test.
     ``on_state`` is invoked with ``(step, factors, loss, max_grad)`` for the
     initial state (step 0) and after every accepted step.
@@ -58,7 +61,7 @@ def armijo_gd(
     Stops with status ``stalled-critical`` when the largest active-layer
     gradient norm drops to ``stop_grad_tol``, ``budget-exhausted`` after
     ``max_steps`` accepted steps, or ``line-search-stalled`` when no step
-    above ``min_step`` achieves the Armijo decrease.
+    above ``MIN_STEP`` achieves the Armijo decrease.
     """
     if not active_layers:
         raise ValueError("active_layers must be non-empty")
@@ -68,7 +71,7 @@ def armijo_gd(
 
     current = [np.array(m, dtype=np.float64) for m in factors]
     value = loss.value(running_product(current))
-    t = step_init
+    t = STEP_INIT
     steps = 0
     while True:
         below, above = prefix_suffix_products(current)
@@ -84,19 +87,19 @@ def armijo_gd(
             status = STATUS_BUDGET
             break
         squared = sum(float(np.sum(g**2)) for g in grads.values())
-        t = min(t * step_grow, 1e12)
+        t = min(t * STEP_GROW, 1e12)
         # An overflowing trial counts as a failed Armijo test, silently.
         with np.errstate(over="ignore", invalid="ignore"):
-            while t >= min_step:
+            while t >= MIN_STEP:
                 trial = list(current)
                 for i in active:
                     trial[i - 1] = current[i - 1] - t * grads[i]
                 product = running_product(trial)
                 trial_value = loss.value(product) if np.all(np.isfinite(product)) else np.inf
-                if trial_value <= value - armijo_c * t * squared:
+                if trial_value <= value - ARMIJO_C * t * squared:
                     break
-                t *= backtrack
-            else:  # no step above min_step passed the Armijo test
+                t *= BACKTRACK
+            else:  # no step above MIN_STEP passed the Armijo test
                 status = STATUS_LINE_SEARCH
                 break
         current, value = trial, trial_value

@@ -18,6 +18,7 @@ the construction on the reversed, transposed chain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "FullRankAboveError",
     "ConstructionFailedError",
     "RankOnePerturbation",
-    "InvariantFamily",
     "EscapeCertificate",
     "kernel_family",
     "apply_family",
@@ -92,18 +92,6 @@ class RankOnePerturbation:
 
 
 @dataclass(frozen=True)
-class InvariantFamily:
-    """Rank-one perturbations for consecutive layers below a bottleneck cut.
-
-    Built so that the end-to-end product is unchanged; ``delta`` records the
-    scale at which the ``v`` vectors were chosen.
-    """
-
-    perturbations: tuple[RankOnePerturbation, ...]
-    delta: float
-
-
-@dataclass(frozen=True)
 class EscapeCertificate:
     """Evidence that a critical chain is a plateau point, not a local min.
 
@@ -127,10 +115,12 @@ class EscapeCertificate:
         Frobenius norm of the escaped super-layer gradient.
     loss_delta
         Achieved loss change (should be ~0).
+    delta
+        Scale at which the ``v`` vectors of the ``family`` were chosen.
     """
 
     perturbed_chain: FactorChain
-    family: InvariantFamily
+    family: tuple[RankOnePerturbation, ...]
     side: str
     witness_row: int
     containment_start: int
@@ -166,14 +156,14 @@ def kernel_family(
     return [kernel_vector(above[i], rank_tol) for i in range(1, split.index + 1)]
 
 
-def apply_family(chain: FactorChain, family: InvariantFamily) -> FactorChain:
+def apply_family(chain: FactorChain, family: Sequence[RankOnePerturbation]) -> FactorChain:
     """Apply every rank-one perturbation, returning a new chain.
 
     Layers whose ``v`` is identically zero are passed through bitwise
     unchanged.
     """
     factors = list(chain.factors)
-    for p in family.perturbations:
+    for p in family:
         m = chain.factor(p.layer)
         w = np.asarray(p.w, dtype=np.float64)
         v = np.asarray(p.v, dtype=np.float64)
@@ -299,12 +289,9 @@ def escape_construction(
                 vs[i - 1] = delta * _basis(current.shape[0], pick)
                 current = candidate + np.outer(kernels[i - 1], delta * current[pick])
 
-    family = InvariantFamily(
-        perturbations=tuple(
-            RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
-            for i in range(1, j + 1)
-        ),
-        delta=float(delta),
+    family = tuple(
+        RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
+        for i in range(1, j + 1)
     )
     perturbed = apply_family(chain, family)
     below_tilde = partial_product(perturbed, 1, j)
@@ -383,12 +370,9 @@ def escape_construction_mirrored(
     factors = tuple(
         rev_cert.perturbed_chain.factors[k - 1 - i].T for i in range(k)
     )
-    family = InvariantFamily(
-        perturbations=tuple(
-            RankOnePerturbation(layer=k + 1 - p.layer, w=p.v, v=p.w)
-            for p in reversed(rev_cert.family.perturbations)
-        ),
-        delta=rev_cert.family.delta,
+    family = tuple(
+        RankOnePerturbation(layer=k + 1 - p.layer, w=p.v, v=p.w)
+        for p in reversed(rev_cert.family)
     )
     return EscapeCertificate(
         perturbed_chain=FactorChain(factors),

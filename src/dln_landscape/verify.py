@@ -10,7 +10,9 @@ bit-level determinism of generation and file round-trips.
 The rendered report is a pure function of ``(seed, trials)`` on a given
 platform: no timestamps, no paths, no iteration-order dependence.  Running
 the suite twice with the same arguments must produce identical bytes, and
-that property is itself checked by the test suite.
+that property is itself checked by the test suite.  The acceptance tests
+run the cores of the sections they share (``_gradient_checks``,
+``_escape_and_descend``, ``_lift_outcomes``, ``_oracle_runs``) at their own seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import network
-from .analyze import Classification, classify, descent_search
+from .analyze import Classification, DescentNotFoundError, classify, descent_search
 from .harness import (
     InstanceSpec,
     TrainConfig,
@@ -167,31 +169,33 @@ def _section_loss_contract(seed: int, trials: int, tols: Tolerances) -> SectionR
     )
 
 
-def _section_layer_gradients(seed: int, trials: int, tols: Tolerances) -> SectionResult:
-    checks = 0
-    worst = 0.0
-    failures = 0
-    seeds = _instance_seeds(seed, 2, trials)
-    for t, inst_seed in enumerate(seeds):
-        dims, kind = _FD_SPECS[t % len(_FD_SPECS)]
-        inst = gen_instance(InstanceSpec(dims=dims, loss_kind=kind, seed=inst_seed))
+def _gradient_checks(specs):
+    """Yield ``(spec, layer, scaled deviation, agrees)`` for every layer
+    gradient of every generated instance against central differences."""
+    for spec in specs:
+        inst = gen_instance(spec)
         # Deliberately resolved through the module so a monkeypatched
         # gradient routine is caught by this suite.
         grads = network.layer_gradients(inst.chain, inst.loss)
         for layer in range(1, inst.chain.k + 1):
             fd = finite_diff_gradient(inst.chain, inst.loss, layer)
             g = grads[layer - 1]
-            err = float(np.max(np.abs(g - fd)))
-            scale = float(np.max(np.abs(fd)))
-            rel = err / (1.0 + scale)
-            worst = max(worst, rel)
-            if not np.allclose(g, fd, rtol=1e-5, atol=1e-8):
-                failures += 1
-            checks += 1
-    passed = failures == 0
+            scaled = float(np.max(np.abs(g - fd))) / (1.0 + float(np.max(np.abs(fd))))
+            yield spec, layer, scaled, np.allclose(g, fd, rtol=1e-5, atol=1e-8)
+
+
+def _section_layer_gradients(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+    specs = []
+    for t, inst_seed in enumerate(_instance_seeds(seed, 2, trials)):
+        dims, kind = _FD_SPECS[t % len(_FD_SPECS)]
+        specs.append(InstanceSpec(dims=dims, loss_kind=kind, seed=inst_seed))
+    results = list(_gradient_checks(specs))
+    checks = len(results)
+    failures = sum(not agrees for *_, agrees in results)
+    worst = max([0.0, *(scaled for _, _, scaled, _ in results)])
     return SectionResult(
         "layer_gradients_vs_fd",
-        passed,
+        failures == 0,
         checks,
         f"{failures} of {checks} layer gradients disagreed with central "
         f"differences; worst scaled deviation {fmt_float(worst)}",
@@ -233,33 +237,40 @@ def _section_product_invariance(seed: int, trials: int, tols: Tolerances) -> Sec
     return SectionResult("product_invariance", passed, checks, "; ".join([detail, *errors]))
 
 
+def _escape_and_descend(problems, budget: int, tols: Tolerances):
+    """Yield ``(report, after, error)`` per ``(chain, loss)``: its
+    classification (None when the escape construction failed), the loss a
+    descent search from an escapable plateau reached, and why the
+    construction or the search failed."""
+    for chain, loss in problems:
+        report = after = error = None
+        try:
+            report = classify(chain, loss, tols=tols, compute_oracle_gap=False)
+            if report.label is Classification.ESCAPABLE_PLATEAU:
+                after = chain_loss(descent_search(chain, loss, report, budget=budget, tols=tols), loss)
+        except (ConstructionFailedError, DescentNotFoundError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        yield report, after, error
+
+
 def _section_escape_and_descent(seed: int, trials: int, tols: Tolerances) -> SectionResult:
-    checks = 0
-    failures = 0
-    seeds = _instance_seeds(seed, 4, trials)
-    for t, inst_seed in enumerate(seeds):
+    problems = []
+    for t, inst_seed in enumerate(_instance_seeds(seed, 4, trials)):
         dims = _PLATEAU_DIMS[t % len(_PLATEAU_DIMS)]
         kind = "logcosh" if t % 2 == 1 else "quadratic"
         inst = gen_instance(
             InstanceSpec(dims=dims, construction="rank_deficient_plateau", loss_kind=kind, seed=inst_seed)
         )
-        report = classify(inst.chain, inst.loss, tols=tols, compute_oracle_gap=False)
-        checks += 1
-        if report.label is not Classification.ESCAPABLE_PLATEAU:
-            failures += 1
-            continue
-        before = report.loss
-        better = descent_search(inst.chain, inst.loss, report, budget=500, tols=tols)
-        if not chain_loss(better, inst.loss) < before:
-            failures += 1
-    passed = failures == 0
-    return SectionResult(
-        "escape_and_descent",
-        passed,
-        checks,
+        problems.append((inst.chain, inst.loss))
+    outcomes = list(_escape_and_descend(problems, 500, tols))
+    checks = len(outcomes)
+    failures = sum(after is None or not after < report.loss for report, after, _ in outcomes)
+    detail = (
         f"{failures} of {checks} constructed plateaus failed to classify as "
-        "escapable and then strictly descend within 500 steps",
+        "escapable and then strictly descend within 500 steps"
     )
+    errors = [f"trial {t}: {error}" for t, (_, _, error) in enumerate(outcomes) if error]
+    return SectionResult("escape_and_descent", failures == 0, checks, "; ".join([detail, *errors]))
 
 
 def _section_canonical_plateau(seed: int, trials: int, tols: Tolerances) -> SectionResult:
@@ -275,39 +286,38 @@ def _section_canonical_plateau(seed: int, trials: int, tols: Tolerances) -> Sect
     if convex_norm != 2.0 * np.sqrt(2.0):
         problems.append(f"convex gradient norm {fmt_float(convex_norm)} != 2*sqrt(2)")
 
-    report = classify(chain, loss, tols=tols, compute_oracle_gap=False)
-    if report.label is not Classification.ESCAPABLE_PLATEAU:
-        problems.append(f"label {report.label.value}")
-    if report.split_index != 1:
-        problems.append(f"split index {report.split_index} != 1")
-    cert = report.escape
-    if cert is None:
-        problems.append("no escape certificate")
-    else:
-        delta = cert.delta
-        expected_delta = 1e-3 * (1.0 + 1.0)
-        if delta != expected_delta:
-            problems.append(f"delta {fmt_float(delta)} != {fmt_float(expected_delta)}")
-        if cert.side != "below":
-            problems.append(f"side {cert.side!r}")
-        if cert.containment_start != 1:
-            problems.append(f"containment start {cert.containment_start} != 1")
-        if cert.witness_row != 0:
-            problems.append(f"witness row {cert.witness_row} != 0")
-        expected_first = np.zeros((1, 2))
-        expected_first[0, 0] = delta
-        if not np.array_equal(cert.perturbed_chain.factor(1), expected_first):
-            problems.append("perturbed first layer is not [[delta, 0]]")
-        if cert.loss_delta != 0.0:
-            problems.append(f"loss delta {fmt_float(cert.loss_delta)} != 0")
-        if abs(cert.super_gradient_norm - 2.0 * delta) > 1e-12:
-            problems.append(
-                f"certificate norm {fmt_float(cert.super_gradient_norm)} not 2*delta"
-            )
-        improved = descent_search(chain, loss, report, budget=500, tols=tols)
-        final = chain_loss(improved, loss)
-        if not final < 2.0 - 1e-3:
-            problems.append(f"descent reached only {fmt_float(final)}")
+    [(report, after, error)] = _escape_and_descend([(chain, loss)], 500, tols)
+    if report is not None:
+        if report.label is not Classification.ESCAPABLE_PLATEAU:
+            problems.append(f"label {report.label.value}")
+        if report.split_index != 1:
+            problems.append(f"split index {report.split_index} != 1")
+        cert = report.escape
+        if cert is None:
+            problems.append("no escape certificate")
+        else:
+            delta = cert.delta
+            expected_delta = 1e-3 * (1.0 + 1.0)
+            if delta != expected_delta:
+                problems.append(f"delta {fmt_float(delta)} != {fmt_float(expected_delta)}")
+            if cert.side != "below":
+                problems.append(f"side {cert.side!r}")
+            if cert.containment_start != 1:
+                problems.append(f"containment start {cert.containment_start} != 1")
+            if cert.witness_row != 0:
+                problems.append(f"witness row {cert.witness_row} != 0")
+            if not np.array_equal(cert.perturbed_chain.factor(1), [[delta, 0.0]]):
+                problems.append("perturbed first layer is not [[delta, 0]]")
+            if cert.loss_delta != 0.0:
+                problems.append(f"loss delta {fmt_float(cert.loss_delta)} != 0")
+            if abs(cert.super_gradient_norm - 2.0 * delta) > 1e-12:
+                problems.append(
+                    f"certificate norm {fmt_float(cert.super_gradient_norm)} not 2*delta"
+                )
+    if error:
+        problems.append(error)
+    elif after is not None and not after < 2.0 - 1e-3:
+        problems.append(f"descent reached only {fmt_float(after)}")
     passed = not problems
     detail = (
         "all closed-form quantities matched exactly and descent cleared 2 - 1e-3"
@@ -317,69 +327,79 @@ def _section_canonical_plateau(seed: int, trials: int, tols: Tolerances) -> Sect
     return SectionResult("canonical_plateau", passed, 1, detail)
 
 
-def _section_lift_exactness(seed: int, trials: int, tols: Tolerances) -> SectionResult:
-    checks = 0
-    failures = 0
-    worst = 0.0
-    seeds = _instance_seeds(seed, 6, trials)
-    for t, inst_seed in enumerate(seeds):
-        dims = _LIFT_DIMS[t % len(_LIFT_DIMS)]
-        inst = gen_instance(InstanceSpec(dims=dims, seed=inst_seed))
+def _lift_outcomes(cases, draw_target, tols: Tolerances):
+    """Yield ``(layer, error, |target|, |update|, amplification)`` per
+    ``(spec, side)`` case: the boundary-layer lift of the super-layer change
+    ``draw_target(t, spec, shape)`` and how far the edited chain misses it."""
+    for t, (spec, side) in enumerate(cases):
+        inst = gen_instance(spec)
         split = make_split(inst.chain, inst.chain.dims.interior_bottleneck())
-        side = "above" if t % 2 == 0 else "below"
         shape = split.above.shape if side == "above" else split.below.shape
-        target = stream(inst_seed, _SECTION_KEY_BASE + 6, t).standard_normal(shape)
-        layer, update, _ = lift_perturbation(inst.chain, split, target, side=side, rank_tol=tols.rank_tol)
+        target = draw_target(t, spec, shape)
+        layer, update, amplification = lift_perturbation(
+            inst.chain, split, target, side=side, rank_tol=tols.rank_tol
+        )
         edited = inst.chain.with_factor(layer, inst.chain.factor(layer) + update)
         if side == "above":
             achieved = partial_product(edited, split.index + 1, edited.k) - split.above
         else:
             achieved = partial_product(edited, 1, split.index) - split.below
         err = float(np.linalg.norm(achieved - target))
-        bound = 1e-9 * float(np.linalg.norm(target))
-        worst = max(worst, err / max(float(np.linalg.norm(target)), 1e-300))
-        if err > bound:
-            failures += 1
-        checks += 1
-    passed = failures == 0
+        yield layer, err, float(np.linalg.norm(target)), float(np.linalg.norm(update)), amplification
+
+
+def _section_lift_exactness(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+    cases = [
+        (InstanceSpec(dims=_LIFT_DIMS[t % len(_LIFT_DIMS)], seed=s), "above" if t % 2 == 0 else "below")
+        for t, s in enumerate(_instance_seeds(seed, 6, trials))
+    ]
+
+    def draw(t: int, spec: InstanceSpec, shape) -> np.ndarray:
+        return stream(spec.seed, _SECTION_KEY_BASE + 6, t).standard_normal(shape)
+
+    outcomes = list(_lift_outcomes(cases, draw, tols))
+    checks = len(outcomes)
+    failures = sum(err > 1e-9 * norm for _, err, norm, _, _ in outcomes)
+    worst = max([0.0, *(err / max(norm, 1e-300) for _, err, norm, _, _ in outcomes)])
     return SectionResult(
         "lift_exactness",
-        passed,
+        failures == 0,
         checks,
         f"{failures} of {checks} boundary-layer lifts missed the requested "
         f"super-layer change; worst relative error {fmt_float(worst)}",
     )
 
 
-def _section_trainer_vs_oracle(seed: int, trials: int, tols: Tolerances) -> SectionResult:
-    runs = trials
-    seeds = _instance_seeds(seed, 7, runs)
-    config = TrainConfig(max_steps=4000, stop_grad_tol=1e-8)
-    near = 0
-    explained = 0
-    unexplained = 0
+def _oracle_runs(seeds, dims, config: TrainConfig, tols: Tolerances):
+    """Yield ``(trained chain, loss, status, final loss, oracle loss, near)``
+    per seed: full-chain descent on a generated instance next to the
+    closed-form optimum, ``near`` within 1e-5 relative of it."""
     for inst_seed in seeds:
-        inst = gen_instance(InstanceSpec(dims=_TRAINER_DIMS, seed=inst_seed))
+        inst = gen_instance(InstanceSpec(dims=dims, seed=inst_seed))
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, inst.chain.dims.min_width, tols.rank_tol)
         trained, trajectory = train_gd(inst.chain, inst.loss, config=config)
         final = chain_loss(trained, inst.loss)
-        if final <= fit.loss + 1e-5 * (1.0 + abs(fit.loss)):
+        near = final <= fit.loss + 1e-5 * (1.0 + abs(fit.loss))
+        yield trained, inst.loss, trajectory.status, final, fit.loss, near
+
+
+def _section_trainer_vs_oracle(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+    config = TrainConfig(max_steps=4000, stop_grad_tol=1e-8)
+    runs = _oracle_runs(_instance_seeds(seed, 7, trials), _TRAINER_DIMS, config, tols)
+    near = explained = 0
+    for trained, loss, status, _, _, is_near in runs:
+        if is_near:
             near += 1
         else:
-            report = classify(trained, inst.loss, tols=tols, compute_oracle_gap=False)
-            if (
-                trajectory.status == "stalled-critical"
-                and report.label is not Classification.NOT_CRITICAL
-            ):
-                explained += 1
-            else:
-                unexplained += 1
-    passed = unexplained == 0 and near >= int(np.ceil(0.95 * runs))
+            label = classify(trained, loss, tols=tols, compute_oracle_gap=False).label
+            explained += int(status == "stalled-critical" and label is not Classification.NOT_CRITICAL)
+    unexplained = trials - near - explained
+    passed = unexplained == 0 and near >= int(np.ceil(0.95 * trials))
     return SectionResult(
         "trainer_vs_oracle",
         passed,
-        runs,
-        f"{near} of {runs} runs matched the closed-form oracle to 1e-5 "
+        trials,
+        f"{near} of {trials} runs matched the closed-form oracle to 1e-5 "
         f"relative; {explained} stalled at a classified critical point; "
         f"{unexplained} unexplained",
     )

@@ -5,6 +5,10 @@ line (run with ``pytest tests/test_acceptance.py -s`` to watch them land).
 Each criterion states its own sample count, tolerance, and — where it matters —
 wall-clock budget.  The whole file takes a few minutes; everything is seeded,
 so reruns are bit-for-bit identical.
+
+Criteria 1, 3, 4, 5 and 6 run the same cores as the matching ``dln verify``
+sections, at their own seeds and sample counts, so each check has one
+implementation; 2, 7 and 8 test different things from their verify namesakes.
 """
 
 import shutil
@@ -14,7 +18,7 @@ import time
 
 import numpy as np
 
-from dln_landscape.analyze import Classification, classify, descent_search
+from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import (
     InstanceSpec,
     TrainConfig,
@@ -22,25 +26,23 @@ from dln_landscape.harness import (
     stream,
     train_gd,
 )
-from dln_landscape.linalg import best_rank_approx
+from dln_landscape.linalg import Tolerances, best_rank_approx
 from dln_landscape.network import (
     QuadraticLoss,
     bottleneck_split,
     chain_loss,
     end_to_end,
-    layer_gradients,
-    partial_product,
 )
-from dln_landscape.oracle import finite_diff_gradient, rrr_oracle
-from dln_landscape.perturb import (
-    InvariantFamily,
-    RankOnePerturbation,
-    apply_family,
-    kernel_family,
-    lift_perturbation,
-)
+from dln_landscape.oracle import rrr_oracle
+from dln_landscape.perturb import RankOnePerturbation, apply_family, kernel_family
 from dln_landscape.storage import load_matrix_csv, save_matrix_csv
-from dln_landscape.verify import canonical_plateau
+from dln_landscape.verify import (
+    _escape_and_descend,
+    _gradient_checks,
+    _lift_outcomes,
+    _oracle_runs,
+    _section_canonical_plateau,
+)
 
 _PLATEAU_DIMS = (
     (2, 1, 1, 2),
@@ -67,34 +69,25 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 def test_acceptance_1_layer_gradients_match_finite_differences():
     started = time.perf_counter()
     dims_rng = stream(101, 0)
-    mismatches = 0
-    checks = 0
-    worst = 0.0
+    specs = []
     for i in range(200):
         k = int(dims_rng.integers(2, 6))
         dims = tuple(int(dims_rng.integers(1, 9)) for _ in range(k + 1))
         loss_kind = "quadratic" if i % 2 == 0 else "logcosh"
-        inst = gen_instance(
-            InstanceSpec(dims=dims, loss_kind=loss_kind, seed=20000 + i)
-        )
-        grads = layer_gradients(inst.chain, inst.loss)
-        for layer in range(1, inst.chain.k + 1):
-            fd = finite_diff_gradient(inst.chain, inst.loss, layer)
-            g = grads[layer - 1]
-            if not np.allclose(g, fd, rtol=1e-5, atol=1e-8):
-                mismatches += 1
-                print(f"  mismatch: dims={dims} loss={loss_kind} layer={layer}")
-            checks += 1
-            denom = max(float(np.max(np.abs(g))), 1e-8)
-            worst = max(worst, float(np.max(np.abs(g - fd))) / denom)
+        specs.append(InstanceSpec(dims=dims, loss_kind=loss_kind, seed=20000 + i))
+    results = list(_gradient_checks(specs))
+    mismatches = [(spec, layer) for spec, layer, _, agrees in results if not agrees]
+    for spec, layer in mismatches:
+        print(f"  mismatch: dims={spec.dims} loss={spec.loss_kind} layer={layer}")
+    worst = max(scaled for _, _, scaled, _ in results)
     elapsed = time.perf_counter() - started
-    ok = mismatches == 0 and elapsed < 60.0
+    ok = not mismatches and elapsed < 60.0
     _verdict(
         1,
         "layer gradients vs central finite differences",
         ok,
-        f"{checks} layer checks over 200 instances, {mismatches} mismatches, "
-        f"worst relative error {worst:.2e}, {elapsed:.1f}s (budget 60s)",
+        f"{len(results)} layer checks over 200 instances, {len(mismatches)} mismatches, "
+        f"worst scaled deviation {worst:.2e}, {elapsed:.1f}s (budget 60s)",
     )
 
 
@@ -140,9 +133,7 @@ def test_acceptance_2_rank_one_family_preserves_product_and_loss():
                 )
                 for layer in range(1, split.index + 1)
             )
-            perturbed = apply_family(
-                chain, InvariantFamily(perturbations=perturbations, delta=delta)
-            )
+            perturbed = apply_family(chain, perturbations)
             drift = float(np.linalg.norm(end_to_end(perturbed) - product))
             change = abs(chain_loss(perturbed, loss) - value)
             product_bound = 1e-9 * (1.0 + float(np.linalg.norm(product)))
@@ -165,44 +156,42 @@ def test_acceptance_2_rank_one_family_preserves_product_and_loss():
 
 def test_acceptance_3_constructed_plateaus_escape_and_descend():
     started = time.perf_counter()
-    successes = 0
-    failures = []
-    for i in range(500):
-        dims = _PLATEAU_DIMS[i % len(_PLATEAU_DIMS)]
-        loss_kind = "quadratic" if i % 2 == 0 else "logcosh"
-        inst = gen_instance(
+    instances = [
+        gen_instance(
             InstanceSpec(
-                dims=dims,
+                dims=_PLATEAU_DIMS[i % len(_PLATEAU_DIMS)],
                 construction="rank_deficient_plateau",
-                loss_kind=loss_kind,
+                loss_kind="quadratic" if i % 2 == 0 else "logcosh",
                 seed=30000 + i,
             )
         )
-        before = chain_loss(inst.chain, inst.loss)
-        report = classify(inst.chain, inst.loss, compute_oracle_gap=False)
-        if report.label is not Classification.ESCAPABLE_PLATEAU or report.escape is None:
-            failures.append((i, dims, loss_kind, "label", report.label.value))
-            continue
-        cert = report.escape
-        if abs(cert.loss_delta) > 1e-9 * (1.0 + abs(before)):
-            failures.append((i, dims, loss_kind, "loss_delta", cert.loss_delta))
-            continue
-        if not cert.super_gradient_norm > 1e-8:
-            failures.append((i, dims, loss_kind, "super_gradient", cert.super_gradient_norm))
-            continue
-        try:
-            better = descent_search(inst.chain, inst.loss, report, budget=500)
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            failures.append((i, dims, loss_kind, "descent", repr(exc)))
-            continue
-        if chain_loss(better, inst.loss) < before:
+        for i in range(500)
+    ]
+    outcomes = _escape_and_descend([(inst.chain, inst.loss) for inst in instances], 500, Tolerances())
+    successes = 0
+    failures = []
+    construction_failed = False
+    for i, (report, after, error) in enumerate(outcomes):
+        where = (i, instances[i].spec.dims, instances[i].spec.loss_kind)
+        if report is None:
+            construction_failed = True
+            failures.append((*where, "construction", error))
+        elif report.label is not Classification.ESCAPABLE_PLATEAU or report.escape is None:
+            failures.append((*where, "label", report.label.value))
+        elif abs(report.escape.loss_delta) > 1e-9 * (1.0 + abs(report.loss)):
+            failures.append((*where, "loss_delta", report.escape.loss_delta))
+        elif not report.escape.super_gradient_norm > 1e-8:
+            failures.append((*where, "super_gradient", report.escape.super_gradient_norm))
+        elif error:
+            failures.append((*where, "descent", error))
+        elif after < report.loss:
             successes += 1
         else:
-            failures.append((i, dims, loss_kind, "no_strict_drop", None))
+            failures.append((*where, "no_strict_drop", None))
     elapsed = time.perf_counter() - started
     for f in failures:
         print(f"  escape failure: {f}")
-    ok = successes >= 495 and elapsed < 300.0
+    ok = successes >= 495 and not construction_failed and elapsed < 300.0
     _verdict(
         3,
         "constructed rank-deficient critical points escape and descend",
@@ -213,60 +202,28 @@ def test_acceptance_3_constructed_plateaus_escape_and_descend():
 
 
 def test_acceptance_4_closed_form_plateau_fixture():
-    chain, loss = canonical_plateau()
-    problems = []
-    value = chain_loss(chain, loss)
-    if value != 2.0:
-        problems.append(f"loss {value!r} != 2.0")
-    if not all(np.all(g == 0.0) for g in layer_gradients(chain, loss)):
-        problems.append("some layer gradient is not exactly zero")
-    convex_norm = float(np.linalg.norm(loss.gradient(end_to_end(chain))))
-    if convex_norm != 2.0 * np.sqrt(2.0):
-        problems.append(f"composite-gradient norm {convex_norm!r} != 2*sqrt(2)")
-    report = classify(chain, loss)
-    if report.label is not Classification.ESCAPABLE_PLATEAU:
-        problems.append(f"label {report.label.value}")
-    cert = report.escape
-    if abs(cert.super_gradient_norm - 2.0 * cert.delta) > 1e-12:
-        problems.append(
-            f"certificate norm {cert.super_gradient_norm!r} vs 2*delta {2 * cert.delta!r}"
-        )
-    better = descent_search(chain, loss, report, budget=500)
-    after = chain_loss(better, loss)
-    if not after < 2.0 - 1e-3:
-        problems.append(f"post-descent loss {after!r} not below 2 - 1e-3")
-    ok = not problems
-    _verdict(
-        4,
-        "hand-traced width-1 plateau fixture is exact",
-        ok,
-        "loss 2, zero gradients, composite norm 2*sqrt(2), certificate norm "
-        f"2*delta, descended to {after:.6f}" if ok else "; ".join(problems),
-    )
+    section = _section_canonical_plateau(0, 1, Tolerances())
+    _verdict(4, "hand-traced width-1 plateau fixture is exact", section.passed, section.detail)
 
 
 def test_acceptance_5_boundary_layer_lift_is_exact():
+    scales = stream(505, 0)
+    cases = [
+        (InstanceSpec(dims=_WIDE_BOTTLENECK_DIMS[i % len(_WIDE_BOTTLENECK_DIMS)], seed=80000 + i), "above")
+        for i in range(200)
+    ]
+
+    def draw(t, spec, shape):
+        return 10.0 ** scales.uniform(-3.0, 2.0) * scales.standard_normal(shape)
+
     violations = 0
     worst = 0.0
-    scales = stream(505, 0)
-    for i in range(200):
-        dims = _WIDE_BOTTLENECK_DIMS[i % len(_WIDE_BOTTLENECK_DIMS)]
-        inst = gen_instance(InstanceSpec(dims=dims, seed=80000 + i))
-        chain = inst.chain
-        split = bottleneck_split(chain)
-        target = 10.0 ** scales.uniform(-3.0, 2.0) * scales.standard_normal(
-            split.above.shape
-        )
-        layer, update, amplification = lift_perturbation(
-            chain, split, target, side="above"
-        )
-        assert layer == chain.k
-        lifted = chain.with_factor(layer, chain.factor(layer) + update)
-        achieved = partial_product(lifted, split.index + 1, chain.k)
-        err = float(np.linalg.norm(achieved - (split.above + target)))
-        bound = 1e-9 * float(np.linalg.norm(target))
+    for (spec, _), outcome in zip(cases, _lift_outcomes(cases, draw, Tolerances())):
+        layer, err, target_norm, update_norm, amplification = outcome
+        assert layer == len(spec.dims) - 1
+        bound = 1e-9 * target_norm
         worst = max(worst, err / bound)
-        ratio = float(np.linalg.norm(update)) / float(np.linalg.norm(target))
+        ratio = update_norm / target_norm
         if (
             err > bound
             or not np.isfinite(amplification)
@@ -287,28 +244,21 @@ def test_acceptance_6_gradient_descent_reaches_the_oracle():
     started = time.perf_counter()
     config = TrainConfig(max_steps=4000, stop_grad_tol=1e-8)
     runs = 200
+    seeds = [40000 + i for i in range(runs)]
     near = 0
     unexplained = []
     worst_rel = 0.0
-    for i in range(runs):
-        inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=40000 + i))
-        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, 2)
-        trained, trajectory = train_gd(inst.chain, inst.loss, config=config)
-        final = trajectory.final.loss
-        rel = (final - fit.loss) / (1.0 + abs(fit.loss))
-        worst_rel = max(worst_rel, rel)
-        if final <= fit.loss + 1e-5 * (1.0 + abs(fit.loss)):
-            near += 1
-        if (
-            trajectory.status == "stalled-critical"
-            and final > fit.loss + 1e-3 * (1.0 + abs(fit.loss))
-        ):
-            label = classify(trained, inst.loss, compute_oracle_gap=False).label
+    for i, run in enumerate(_oracle_runs(seeds, (3, 4, 2, 4, 3), config, Tolerances())):
+        trained, loss, status, final, oracle, is_near = run
+        worst_rel = max(worst_rel, (final - oracle) / (1.0 + abs(oracle)))
+        near += is_near
+        if status == "stalled-critical" and final > oracle + 1e-3 * (1.0 + abs(oracle)):
+            label = classify(trained, loss, compute_oracle_gap=False).label
             if label not in (
                 Classification.ESCAPABLE_PLATEAU,
                 Classification.REDUCIBLE_FULL_RANK,
             ):
-                unexplained.append((i, final, fit.loss, label.value))
+                unexplained.append((i, final, oracle, label.value))
     elapsed = time.perf_counter() - started
     for u in unexplained:
         print(f"  unexplained stall: {u}")

@@ -223,6 +223,22 @@ class TestTrain:
         assert err.count("\n") == 1 and "max_steps" in err
 
 
+class TestToleranceFlags:
+    @pytest.mark.parametrize(
+        "command", (["train"], ["oracle"], ["lift", "--target", "change.csv"]), ids=("train", "oracle", "lift")
+    )
+    @pytest.mark.parametrize("flag", ("--tol-grad", "--tol-invariance", "--tol-subspace"))
+    def test_unread_tolerance_flag_is_usage_error(self, tmp_path, capsys, command, flag):
+        inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], str(inst), *command[1:], flag, "1e-3"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dln ")
+        assert f"unrecognized arguments: {flag}" in err
+
+
 class TestOracle:
     def test_gap_nonnegative_and_map_saved(self, tmp_path, capsys):
         inst = _gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", "6")

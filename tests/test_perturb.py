@@ -17,7 +17,6 @@ from dln_landscape.perturb import (
     ConstructionFailedError,
     FullRankAboveError,
     GradientVanishesError,
-    InvariantFamily,
     RankOnePerturbation,
     apply_family,
     default_delta,
@@ -68,12 +67,9 @@ class TestApplyFamily:
     def test_zero_v_layers_pass_through_bitwise(self):
         inst = _plateau((3, 4, 2, 4, 3), seed=4)
         chain = inst.chain
-        family = InvariantFamily(
-            perturbations=(
-                RankOnePerturbation(1, np.ones(4), np.zeros(3)),
-                RankOnePerturbation(2, np.ones(2), np.zeros(4)),
-            ),
-            delta=0.5,
+        family = (
+            RankOnePerturbation(1, np.ones(4), np.zeros(3)),
+            RankOnePerturbation(2, np.ones(2), np.zeros(4)),
         )
         out = apply_family(chain, family)
         for a, b in zip(out.factors, chain.factors):
@@ -81,19 +77,13 @@ class TestApplyFamily:
 
     def test_rank_one_update_applied(self):
         chain, _ = canonical_plateau()
-        family = InvariantFamily(
-            perturbations=(RankOnePerturbation(1, np.array([1.0]), np.array([0.25, 0.0])),),
-            delta=0.25,
-        )
+        family = (RankOnePerturbation(1, np.array([1.0]), np.array([0.25, 0.0])),)
         out = apply_family(chain, family)
         assert np.array_equal(out.factor(1), np.array([[0.25, 0.0]]))
 
     def test_shape_validation(self):
         chain, _ = canonical_plateau()
-        family = InvariantFamily(
-            perturbations=(RankOnePerturbation(1, np.ones(2), np.ones(2)),),
-            delta=1.0,
-        )
+        family = (RankOnePerturbation(1, np.ones(2), np.ones(2)),)
         with pytest.raises(ValueError):
             apply_family(chain, family)
 
@@ -182,7 +172,7 @@ class TestEscapeConstruction:
         # layer 1 untouched, layer 2 got a rank-one update aligned with one
         # row of layer 1
         assert perturbed.factor(1).tobytes() == chain.factor(1).tobytes()
-        v2 = cert.family.perturbations[1].v
+        v2 = cert.family[1].v
         nz = np.nonzero(v2)[0]
         assert nz.size == 1 and v2[nz[0]] == cert.delta
         assert cert.loss_delta == 0.0
@@ -203,16 +193,13 @@ class TestEscapeConstruction:
         split = bottleneck_split(inst.chain)
         kernels = kernel_family(inst.chain, split)
         rng = np.random.default_rng(seed + 1)
-        family = InvariantFamily(
-            perturbations=tuple(
-                RankOnePerturbation(
-                    i,
-                    kernels[i - 1],
-                    delta * rng.standard_normal(inst.chain.factor(i).shape[1]),
-                )
-                for i in range(1, split.index + 1)
-            ),
-            delta=delta,
+        family = tuple(
+            RankOnePerturbation(
+                i,
+                kernels[i - 1],
+                delta * rng.standard_normal(inst.chain.factor(i).shape[1]),
+            )
+            for i in range(1, split.index + 1)
         )
         out = apply_family(inst.chain, family)
         w = end_to_end(inst.chain)

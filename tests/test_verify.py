@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 import dln_landscape.network
-from dln_landscape.analyze import Classification, classify
+import dln_landscape.verify as verify_module
+from dln_landscape.analyze import Classification, DescentNotFoundError, classify
+from dln_landscape.cli import main
 from dln_landscape.linalg import Tolerances
 from dln_landscape.network import chain_loss, layer_gradients
+from dln_landscape.perturb import ConstructionFailedError
 from dln_landscape.verify import (
+    _section_escape_and_descent,
     _section_product_invariance,
     canonical_plateau,
     render_verify_json,
@@ -82,7 +86,6 @@ class TestMutationIsCaught:
         assert text.rstrip().endswith("FAIL")
 
     def test_inflated_oracle_breaks_restart_section(self, monkeypatch):
-        import dln_landscape.verify as verify_module
         from dln_landscape.oracle import ReducedRankFit, rrr_oracle
 
         def inflated(inputs, targets, rank, rank_tol=1e-9):
@@ -104,3 +107,32 @@ class TestSectionRobustness:
         assert section.passed is False
         assert section.checks == 12
         assert "below grad_tol" in section.detail
+
+    def test_failed_descent_search_fails_its_sections_with_a_full_report(self, monkeypatch, capsys):
+        def no_descent(*args, **kwargs):
+            raise DescentNotFoundError("descent exhausted (forced)", {})
+
+        monkeypatch.setattr(verify_module, "descent_search", no_descent)
+        assert main(["verify", "--seed", "7", "--trials", "1"]) == 2
+        out = capsys.readouterr().out
+        assert sum(line.startswith(("[PASS] ", "[FAIL] ")) for line in out.splitlines()) == 9
+        assert (
+            "[FAIL] escape_and_descent (1 checks): 1 of 1 constructed plateaus failed to "
+            "classify as escapable and then strictly descend within 500 steps; "
+            "trial 0: DescentNotFoundError: descent exhausted (forced)\n"
+        ) in out
+        assert "[FAIL] canonical_plateau (1 checks): DescentNotFoundError: descent exhausted (forced)\n" in out
+        assert out.endswith("overall: FAIL\n")
+
+    def test_failed_escape_construction_is_a_failed_instance(self, monkeypatch):
+        def no_escape(*args, **kwargs):
+            raise ConstructionFailedError("no row escapes (forced)")
+
+        monkeypatch.setattr(verify_module, "classify", no_escape)
+        section = _section_escape_and_descent(7, 2, Tolerances())
+        assert section.passed is False
+        assert section.checks == 2
+        assert section.detail.endswith(
+            "within 500 steps; trial 0: ConstructionFailedError: no row escapes (forced); "
+            "trial 1: ConstructionFailedError: no row escapes (forced)"
+        )
