@@ -39,7 +39,6 @@ from .network import (
     NoInteriorBottleneckError,
     QuadraticLoss,
     bottleneck_split,
-    chain_loss,
     end_to_end,
     prefix_suffix_products,
 )
@@ -259,7 +258,9 @@ def descent_search(
     descent on the layers of the super layer that saw the nonzero gradient
     (the side *opposite* the perturbation: those layers form a chain with no
     interior bottleneck, where a nonzero super-layer gradient guarantees
-    descent).  ``full_chain=True`` unfreezes everything as a fallback.
+    descent).  ``full_chain=True`` unfreezes everything as a fallback.  The
+    cut and the original loss are read from ``report``, which must be the
+    report of ``chain`` under ``loss``.
 
     Returns a chain whose loss is at most
     ``original - max(1e-12, 1e-6 * |original|)``; otherwise raises
@@ -271,8 +272,8 @@ def descent_search(
             f"certificate, got {report.label.value}"
         )
     cert = report.escape
-    split = bottleneck_split(chain)
-    if split is None:
+    cut = report.split_index
+    if cut is None:
         raise WrongClassificationError(
             "report claims an escapable plateau but the chain has no interior bottleneck"
         )
@@ -280,11 +281,11 @@ def descent_search(
     if full_chain:
         active = list(range(1, k + 1))
     elif cert.side == "below":
-        active = list(range(split.index + 1, k + 1))
+        active = list(range(cut + 1, k + 1))
     else:
-        active = list(range(1, split.index + 1))
+        active = list(range(1, cut + 1))
 
-    original = chain_loss(chain, loss)
+    original = report.loss
     required = original - max(1e-12, 1e-6 * abs(original))
     start = cert.perturbed_chain
     result = armijo_gd(

@@ -130,6 +130,11 @@ def _tols(args: argparse.Namespace) -> Tolerances:
     )
 
 
+def _rank_tol(args: argparse.Namespace) -> float:
+    """``--tol-rank``, checked by :class:`Tolerances` like the other flags."""
+    return Tolerances(rank_tol=args.tol_rank).rank_tol
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     sys.stdout.write(text)
     out = getattr(args, "out_report", None)
@@ -212,6 +217,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
+    rank_tol = _rank_tol(args)
     chain, _, _ = load_instance(args.instance)
     split = bottleneck_split(chain)
     if split is None:
@@ -220,7 +226,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         )
     target = load_matrix_csv(args.target)
     layer, update, amplification = lift_perturbation(
-        chain, split, target, side=args.side, rank_tol=args.tol_rank
+        chain, split, target, side=args.side, rank_tol=rank_tol
     )
     if args.out:
         save_matrix_csv(args.out, update)
@@ -237,9 +243,10 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    chain, loss, _ = load_instance(args.instance)
+    rank_tol = _rank_tol(args)
     config = TrainConfig(max_steps=args.max_steps, stop_grad_tol=args.stop_grad_tol)
-    trained, trajectory = train_gd(chain, loss, config=config, rank_tol=args.tol_rank)
+    chain, loss, _ = load_instance(args.instance)
+    trained, trajectory = train_gd(chain, loss, config=config, rank_tol=rank_tol)
     if args.out:
         save_trajectory_csv(args.out, trajectory)
     if args.final_dir:
@@ -259,13 +266,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    rank_tol = _rank_tol(args)
     chain, loss, _ = load_instance(args.instance)
     if not isinstance(loss, QuadraticLoss):
         raise RankDeficientDataError(
             "the closed-form optimum is defined for the quadratic loss only"
         )
     rank = args.rank if args.rank is not None else chain.dims.min_width
-    fit = rrr_oracle(loss.inputs, loss.targets, rank, args.tol_rank)
+    fit = rrr_oracle(loss.inputs, loss.targets, rank, rank_tol)
     current = chain_loss(chain, loss)
     payload = {
         "rank": rank,

@@ -336,6 +336,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        if not (self.stop_grad_tol >= 0.0 and np.isfinite(self.stop_grad_tol)):
+            raise ValueError(
+                f"stop_grad_tol must be non-negative and finite, got {self.stop_grad_tol!r}"
+            )
 
 
 @dataclass(frozen=True)

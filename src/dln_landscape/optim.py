@@ -5,7 +5,10 @@ search (``analyze.descent_search``) both run this loop: steepest descent on
 a chosen subset of layers with Armijo backtracking, strictly monotone by
 construction, single-threaded and deterministic.  It works on plain arrays
 and takes its products from the ``network`` product core, so a step builds
-no chain objects and a line-search trial costs one running product.
+no chain objects.  The layers below the lowest active one never change, so
+their product is built once per call and heads the chain the loop works on:
+a step's products and a line-search trial's running product cover only the
+active block and the layers above it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ def armijo_gd(
     """Steepest descent with Armijo backtracking on selected layers.
 
     ``active_layers`` holds 1-based layer numbers; the rest stay frozen.
+    A line-search trial costs one running product of the layers from the
+    lowest active one up, headed by the product of the frozen layers below.
     The accepted step size carries over between iterations (grown by
     ``STEP_GROW`` before each line search) so the loop adapts to the local
     scale.  A trial whose product overflows counts as a failed Armijo test.
@@ -70,13 +75,19 @@ def armijo_gd(
         raise ValueError(f"active layers {active} out of range 1..{len(factors)}")
 
     current = [np.array(m, dtype=np.float64) for m in factors]
-    value = loss.value(running_product(current))
+    # The frozen layers below the lowest active one, multiplied once.  As
+    # products accumulate from the bottom, a trial product over this head is
+    # bitwise the product over the whole chain.
+    lo = active[0]
+    head = [running_product(current[: lo - 1])] if lo > 1 else []
+    shift = lo - 1 - len(head)
+    value = loss.value(running_product(head + current[lo - 1 :]))
     t = STEP_INIT
     steps = 0
     while True:
-        below, above = prefix_suffix_products(current)
+        below, above = prefix_suffix_products(head + current[lo - 1 :])
         grad = loss.gradient(below[-1])
-        grads = {i: above[i].T @ grad @ below[i - 1].T for i in active}
+        grads = {i: above[i - shift].T @ grad @ below[i - shift - 1].T for i in active}
         max_grad = max(float(np.linalg.norm(g)) for g in grads.values())
         if on_state is not None:
             on_state(steps, current, value, max_grad)
@@ -94,7 +105,7 @@ def armijo_gd(
                 trial = list(current)
                 for i in active:
                     trial[i - 1] = current[i - 1] - t * grads[i]
-                product = running_product(trial)
+                product = running_product(head + trial[lo - 1 :])
                 trial_value = loss.value(product) if np.all(np.isfinite(product)) else np.inf
                 if trial_value <= value - ARMIJO_C * t * squared:
                     break

@@ -11,13 +11,16 @@ sections, at their own seeds and sample counts, so each check has one
 implementation; 2, 7 and 8 test different things from their verify namesakes.
 """
 
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import dln_landscape
 from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import (
     InstanceSpec,
@@ -310,6 +313,9 @@ def test_acceptance_7_oracle_agrees_with_restarted_descent():
 def test_acceptance_8_determinism_of_verify_and_csv(tmp_path):
     exe = shutil.which("dln")
     base = [exe] if exe else [sys.executable, "-m", "dln_landscape.cli"]
+    # The subprocess imports the package this test imported, also from a
+    # checkout where it is not installed.
+    env = {**os.environ, "PYTHONPATH": str(Path(dln_landscape.__file__).resolve().parents[1])}
     outputs = []
     codes = []
     for _ in range(2):
@@ -317,6 +323,7 @@ def test_acceptance_8_determinism_of_verify_and_csv(tmp_path):
             base + ["verify", "--seed", "42"],
             capture_output=True,
             timeout=600,
+            env=env,
         )
         outputs.append(proc.stdout)
         codes.append(proc.returncode)

@@ -223,6 +223,15 @@ class TestTrain:
         assert err.count("\n") == 1 and "max_steps" in err
 
 
+    @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
+    def test_invalid_stop_grad_tol_exits_1(self, tmp_path, capsys, value):
+        inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
+        capsys.readouterr()
+        assert main(["train", str(inst), f"--stop-grad-tol={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stop_grad_tol" in err
+
+
 class TestToleranceFlags:
     @pytest.mark.parametrize(
         "command", (["train"], ["oracle"], ["lift", "--target", "change.csv"]), ids=("train", "oracle", "lift")
@@ -237,6 +246,18 @@ class TestToleranceFlags:
         err = capsys.readouterr().err
         assert err.startswith("usage: dln ")
         assert f"unrecognized arguments: {flag}" in err
+
+
+    @pytest.mark.parametrize(
+        "command", (["train"], ["oracle"], ["lift", "--target", "change.csv"]), ids=("train", "oracle", "lift")
+    )
+    @pytest.mark.parametrize("value", ("nan", "5", "-3", "0"))
+    def test_invalid_rank_tolerance_exits_1(self, tmp_path, capsys, command, value):
+        inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
+        capsys.readouterr()
+        assert main([command[0], str(inst), *command[1:], f"--tol-rank={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rank_tol" in err
 
 
 class TestOracle:

@@ -251,6 +251,12 @@ class TestTrainGDGuards:
             TrainConfig(max_steps=-5)
         assert TrainConfig(max_steps=0).max_steps == 0
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0, -1e-300))
+    def test_invalid_stop_grad_tol_rejected(self, value):
+        with pytest.raises(ValueError, match="stop_grad_tol"):
+            TrainConfig(stop_grad_tol=value)
+        assert TrainConfig(stop_grad_tol=0.0).stop_grad_tol == 0.0
+
     def test_loss_increase_raises(self, monkeypatch):
         monkeypatch.setattr(dln_landscape.harness, "armijo_gd", _rising_armijo)
         chain, loss = canonical_plateau()

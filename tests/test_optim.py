@@ -1,0 +1,154 @@
+"""``optim.armijo_gd`` against the loop that rebuilds every product through
+the whole chain, and the work it does per step.
+
+The descent multiplies the frozen layers below the lowest active one once
+and runs each step on the shorter chain that this product heads.  Because
+products accumulate from the bottom, every result must be bitwise the one
+of the full-rebuild loop kept below as the reference.
+"""
+
+import numpy as np
+import pytest
+
+from dln_landscape import optim
+from dln_landscape.analyze import Classification, classify
+from dln_landscape.harness import InstanceSpec, TrainConfig, gen_instance, train_gd
+from dln_landscape.network import prefix_suffix_products, running_product
+from dln_landscape.optim import (
+    ARMIJO_C,
+    BACKTRACK,
+    MIN_STEP,
+    STATUS_BUDGET,
+    STATUS_CRITICAL,
+    STATUS_LINE_SEARCH,
+    STEP_GROW,
+    STEP_INIT,
+    armijo_gd,
+)
+
+MAX_STEPS = 40
+STOP_GRAD_TOL = 1e-8
+
+
+def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
+    """Reference descent: every step's prefix and suffix products and every
+    trial's product run over all layers, the frozen ones included."""
+    active = sorted(set(int(i) for i in active_layers))
+    current = [np.array(m, dtype=np.float64) for m in factors]
+    value = loss.value(running_product(current))
+    t = STEP_INIT
+    steps = 0
+    while True:
+        below, above = prefix_suffix_products(current)
+        grad = loss.gradient(below[-1])
+        grads = {i: above[i].T @ grad @ below[i - 1].T for i in active}
+        max_grad = max(float(np.linalg.norm(g)) for g in grads.values())
+        if max_grad <= stop_grad_tol:
+            status = STATUS_CRITICAL
+            break
+        if steps >= max_steps:
+            status = STATUS_BUDGET
+            break
+        squared = sum(float(np.sum(g**2)) for g in grads.values())
+        t = min(t * STEP_GROW, 1e12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t >= MIN_STEP:
+                trial = list(current)
+                for i in active:
+                    trial[i - 1] = current[i - 1] - t * grads[i]
+                product = running_product(trial)
+                trial_value = loss.value(product) if np.all(np.isfinite(product)) else np.inf
+                if trial_value <= value - ARMIJO_C * t * squared:
+                    break
+                t *= BACKTRACK
+            else:
+                status = STATUS_LINE_SEARCH
+                break
+        current, value = trial, trial_value
+        steps += 1
+    return current, value, status, steps, max_grad
+
+
+def _start(dims, construction, loss_kind, seed):
+    """A generic chain, or the certificate's perturbed chain of a plateau:
+    the start of the post-escape descent."""
+    inst = gen_instance(
+        InstanceSpec(dims=dims, construction=construction, loss_kind=loss_kind, seed=seed)
+    )
+    if construction == "generic":
+        return inst.chain, inst.loss
+    report = classify(inst.chain, inst.loss, compute_oracle_gap=False)
+    assert report.label is Classification.ESCAPABLE_PLATEAU
+    return report.escape.perturbed_chain, inst.loss
+
+
+def _active_sets(chain):
+    k, cut = chain.k, chain.dims.interior_bottleneck()
+    return {
+        "upper": list(range(cut + 1, k + 1)),
+        "lower": list(range(1, cut + 1)),
+        "all": list(range(1, k + 1)),
+        "sparse": list(range(2, k + 1, 2)),
+    }
+
+
+def _assert_same(result, reference):
+    factors, value, status, steps, max_grad = reference
+    assert (result.status, result.steps) == (status, steps)
+    assert np.float64(result.loss).tobytes() == np.float64(value).tobytes()
+    assert np.float64(result.max_grad).tobytes() == np.float64(max_grad).tobytes()
+    assert len(result.factors) == len(factors)
+    for got, want in zip(result.factors, factors):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(4, 5, 2, 5, 4), (3, 4, 4, 2, 4, 4, 3)], ids=("k4", "k6"))
+@pytest.mark.parametrize("construction", ("rank_deficient_plateau", "generic"))
+@pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_matches_full_rebuild_bitwise(dims, construction, loss_kind, seed):
+    chain, loss = _start(dims, construction, loss_kind, seed)
+    for name, active in _active_sets(chain).items():
+        result = armijo_gd(chain.factors, loss, active, MAX_STEPS, STOP_GRAD_TOL)
+        reference = _full_rebuild_gd(chain.factors, loss, active, MAX_STEPS, STOP_GRAD_TOL)
+        assert result.steps > 0 or result.status == STATUS_CRITICAL, name
+        _assert_same(result, reference)
+
+
+@pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+def test_train_gd_path_matches_full_rebuild_bitwise(loss_kind):
+    inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=3))
+    trained, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=60))
+    factors, value, status, steps, max_grad = _full_rebuild_gd(
+        inst.chain.factors, inst.loss, range(1, inst.chain.k + 1), 60, TrainConfig().stop_grad_tol
+    )
+    assert (trajectory.status, trajectory.final.step) == (status, steps)
+    assert trajectory.final.loss == value and trajectory.final.max_grad == max_grad
+    for got, want in zip(trained.factors, factors):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_products_skip_the_frozen_layers_below(monkeypatch):
+    chain, loss = _start((6, 6, 6, 6, 3, 6, 6, 6, 6), "rank_deficient_plateau", "quadratic", 2)
+    k, lo = chain.k, 5
+    lengths = {"running": [], "prefix_suffix": []}
+
+    def counting_running_product(mats):
+        lengths["running"].append(len(mats))
+        return running_product(mats)
+
+    def counting_prefix_suffix_products(mats):
+        lengths["prefix_suffix"].append(len(mats))
+        return prefix_suffix_products(mats)
+
+    monkeypatch.setattr(optim, "running_product", counting_running_product)
+    monkeypatch.setattr(optim, "prefix_suffix_products", counting_prefix_suffix_products)
+    result = armijo_gd(chain.factors, loss, range(lo, k + 1), 10, STOP_GRAD_TOL)
+    assert result.steps > 0
+    # One product of the lo - 1 frozen layers, then every product (the
+    # initial loss and each trial) runs over that head and layers lo..k.
+    block = 1 + k - (lo - 1)
+    head, *rest = lengths["running"]
+    assert head == lo - 1
+    assert rest and set(rest) == {block}
+    assert set(lengths["prefix_suffix"]) == {block}
