@@ -31,16 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Tolerances, numerical_rank
+from .linalg import DEFAULT_GRAD_TOL, Tolerances, numerical_rank
 from .network import (
     BottleneckSplit,
     ConvexLoss,
     FactorChain,
-    NoInteriorBottleneckError,
     QuadraticLoss,
     bottleneck_split,
     end_to_end,
     prefix_suffix_products,
+    split_or_raise,
 )
 from .oracle import RankDeficientDataError, rrr_oracle
 from .optim import STATUS_BUDGET, armijo_gd
@@ -112,13 +112,7 @@ def super_gradients(
     ``G`` the convex gradient at ``above @ below``.  Requires an interior
     bottleneck.
     """
-    if split is None:
-        split = bottleneck_split(chain)
-        if split is None:
-            raise NoInteriorBottleneckError(
-                f"chain with widths {chain.dims.widths} has no interior "
-                "bottleneck; super-layer gradients are undefined"
-            )
+    split = split_or_raise(chain, split)
     grad = loss.gradient(split.above @ split.below)
     return grad @ split.below.T, split.above.T @ grad
 
@@ -249,8 +243,6 @@ def descent_search(
     loss: ConvexLoss,
     report: CriticalPointReport,
     budget: int = 500,
-    tols: Tolerances = Tolerances(),
-    full_chain: bool = False,
 ) -> FactorChain:
     """Turn an escape certificate into an actual loss decrease.
 
@@ -258,9 +250,9 @@ def descent_search(
     descent on the layers of the super layer that saw the nonzero gradient
     (the side *opposite* the perturbation: those layers form a chain with no
     interior bottleneck, where a nonzero super-layer gradient guarantees
-    descent).  ``full_chain=True`` unfreezes everything as a fallback.  The
-    cut and the original loss are read from ``report``, which must be the
-    report of ``chain`` under ``loss``.
+    descent), stopping once every active gradient is below the default
+    ``grad_tol``.  The cut and the original loss are read from ``report``,
+    which must be the report of ``chain`` under ``loss``.
 
     Returns a chain whose loss is at most
     ``original - max(1e-12, 1e-6 * |original|)``; otherwise raises
@@ -277,11 +269,8 @@ def descent_search(
         raise WrongClassificationError(
             "report claims an escapable plateau but the chain has no interior bottleneck"
         )
-    k = chain.k
-    if full_chain:
-        active = list(range(1, k + 1))
-    elif cert.side == "below":
-        active = list(range(cut + 1, k + 1))
+    if cert.side == "below":
+        active = list(range(cut + 1, chain.k + 1))
     else:
         active = list(range(1, cut + 1))
 
@@ -293,7 +282,7 @@ def descent_search(
         loss=loss,
         active_layers=active,
         max_steps=budget,
-        stop_grad_tol=tols.grad_tol,
+        stop_grad_tol=DEFAULT_GRAD_TOL,
     )
     if result.loss <= required:
         return FactorChain(tuple(result.factors))

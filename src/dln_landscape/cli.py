@@ -36,7 +36,7 @@ from .harness import (
     train_gd,
 )
 from .linalg import RankDeficientLiftError, Tolerances
-from .network import NoInteriorBottleneckError, QuadraticLoss, bottleneck_split, chain_loss
+from .network import NoInteriorBottleneckError, QuadraticLoss, chain_loss, split_or_raise
 from .oracle import RankDeficientDataError, rrr_oracle
 from .perturb import (
     ConstructionFailedError,
@@ -219,11 +219,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 def _cmd_lift(args: argparse.Namespace) -> int:
     rank_tol = _rank_tol(args)
     chain, _, _ = load_instance(args.instance)
-    split = bottleneck_split(chain)
-    if split is None:
-        raise NoInteriorBottleneckError(
-            f"chain with widths {chain.dims.widths} has no interior bottleneck"
-        )
+    split = split_or_raise(chain)
     target = load_matrix_csv(args.target)
     layer, update, amplification = lift_perturbation(
         chain, split, target, side=args.side, rank_tol=rank_tol
@@ -288,7 +284,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_suite(seed=args.seed, trials=args.trials, tols=_tols(args))
+    report = verify_suite(seed=args.seed, trials=args.trials)
     text = render_verify_json(report) if args.format == "json" else render_verify_text(report)
     _emit(args, text)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -366,12 +362,11 @@ def build_parser() -> _Parser:
     _add_format_flag(p)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="run the self-check suite")
+    p = sub.add_parser("verify", help="run the self-check suite at fixed tolerances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--out", dest="out_report", default=None,
                    help="also write the report to this file")
-    _add_tol_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -43,6 +43,7 @@ __all__ = [
     "layer_gradients",
     "make_split",
     "bottleneck_split",
+    "split_or_raise",
     "validate_loss_contract",
 ]
 
@@ -349,19 +350,11 @@ class BottleneckSplit:
         ``M_k ... M_{j+1}``, shape ``d_k x d``.
     below
         ``M_j ... M_1``, shape ``d x d_0``.
-    above_inner
-        ``M_{k-1} ... M_{j+1}`` (everything above the cut except the top
-        layer); the factor through which updates of ``above`` are lifted
-        into layer ``k``.
-    below_inner
-        ``M_j ... M_2``; the analogue for lifting into layer 1.
     """
 
     index: int
     above: np.ndarray = field(repr=False)
     below: np.ndarray = field(repr=False)
-    above_inner: np.ndarray = field(repr=False)
-    below_inner: np.ndarray = field(repr=False)
 
     @property
     def width(self) -> int:
@@ -382,8 +375,6 @@ def make_split(chain: FactorChain, j: int) -> BottleneckSplit:
         index=j,
         above=partial_product(chain, j + 1, chain.k),
         below=partial_product(chain, 1, j),
-        above_inner=partial_product(chain, j + 1, chain.k - 1),
-        below_inner=partial_product(chain, 2, j),
     )
 
 
@@ -400,25 +391,37 @@ def bottleneck_split(chain: FactorChain) -> BottleneckSplit | None:
     return make_split(chain, j)
 
 
-def validate_loss_contract(
-    loss: ConvexLoss,
-    rng: np.random.Generator,
-    trials: int = 8,
-    probe_scale: float = 1.0,
-    fd_rtol: float = 1e-5,
-    fd_atol: float = 1e-8,
-    convexity_tol: float = 1e-10,
-) -> None:
-    """Spot-check the convex-loss contract on random probe matrices.
+def split_or_raise(chain: FactorChain, split: BottleneckSplit | None = None) -> BottleneckSplit:
+    """``split`` if given, else :func:`bottleneck_split` of ``chain``; raises
+    :class:`NoInteriorBottleneckError` when the chain has no interior
+    bottleneck."""
+    split = split if split is not None else bottleneck_split(chain)
+    if split is None:
+        raise NoInteriorBottleneckError(
+            f"chain with widths {chain.dims.widths} has no interior bottleneck"
+        )
+    return split
+
+
+# Loss-contract spot checks: number of probes, relative and absolute
+# finite-difference tolerances, midpoint-convexity slack.
+CONTRACT_PROBES = 8
+CONTRACT_FD_RTOL = 1e-5
+CONTRACT_FD_ATOL = 1e-8
+CONTRACT_CONVEXITY_TOL = 1e-10
+
+
+def validate_loss_contract(loss: ConvexLoss, rng: np.random.Generator) -> None:
+    """Spot-check the convex-loss contract on standard-normal probe matrices.
 
     Verifies (a) ``gradient`` against central finite differences entrywise
-    at relative tolerance ``fd_rtol`` (absolute floor ``fd_atol``), and (b)
-    midpoint convexity ``f((u+v)/2) <= (f(u)+f(v))/2`` up to
-    ``convexity_tol``.  Raises :class:`LossContractViolation` on failure.
+    and (b) midpoint convexity ``f((u+v)/2) <= (f(u)+f(v))/2``, at the
+    ``CONTRACT_*`` tolerances.  Raises :class:`LossContractViolation` on
+    failure.
     """
     shape = (loss.out_rows, loss.in_cols)
-    for trial in range(trials):
-        w = probe_scale * rng.standard_normal(shape)
+    for trial in range(CONTRACT_PROBES):
+        w = rng.standard_normal(shape)
         grad = loss.gradient(w)
         fd = np.empty(shape)
         for r in range(shape[0]):
@@ -428,18 +431,18 @@ def validate_loss_contract(
                 wm = w.copy(); wm[r, c] -= h
                 fd[r, c] = (loss.value(wp) - loss.value(wm)) / (2.0 * h)
         err = np.abs(grad - fd)
-        bound = fd_atol + fd_rtol * np.abs(fd)
+        bound = CONTRACT_FD_ATOL + CONTRACT_FD_RTOL * np.abs(fd)
         if np.any(err > bound):
             worst = np.unravel_index(np.argmax(err - bound), shape)
             raise LossContractViolation(
                 f"gradient mismatch at probe {trial}, entry {worst}: "
                 f"analytic {grad[worst]:.6e} vs finite-difference {fd[worst]:.6e}"
             )
-        u = probe_scale * rng.standard_normal(shape)
-        v = probe_scale * rng.standard_normal(shape)
+        u = rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
         mid = loss.value(0.5 * (u + v))
         avg = 0.5 * (loss.value(u) + loss.value(v))
-        if mid > avg + convexity_tol * (1.0 + abs(avg)):
+        if mid > avg + CONTRACT_CONVEXITY_TOL * (1.0 + abs(avg)):
             raise LossContractViolation(
                 f"midpoint convexity violated at probe {trial}: "
                 f"f(mid) = {mid:.17g} > averaged {avg:.17g}"

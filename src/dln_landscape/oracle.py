@@ -73,21 +73,15 @@ def rrr_oracle(
     return ReducedRankFit(map=w, loss=float(np.sum(residual * residual)))
 
 
-def finite_diff_gradient(
-    chain: FactorChain,
-    loss: ConvexLoss,
-    layer: int,
-    step: float | None = None,
-) -> np.ndarray:
+def finite_diff_gradient(chain: FactorChain, loss: ConvexLoss, layer: int) -> np.ndarray:
     """Central-difference gradient of the composite loss w.r.t. one layer.
 
-    The step defaults to ``1e-5 * (1 + |M_layer|_F)`` and is held fixed for
-    every entry of the layer.  Quadratic losses are differentiated exactly
-    by the central formula; smooth non-quadratic ones to O(step^2).
+    The step is ``1e-5 * (1 + |M_layer|_F)``, held fixed for every entry of
+    the layer.  Quadratic losses are differentiated exactly by the central
+    formula; smooth non-quadratic ones to O(step^2).
     """
     m = chain.factor(layer)
-    if step is None:
-        step = 1e-5 * (1.0 + float(np.linalg.norm(m)))
+    step = 1e-5 * (1.0 + float(np.linalg.norm(m)))
     out = np.empty_like(m)
     for r in range(m.shape[0]):
         for c in range(m.shape[1]):

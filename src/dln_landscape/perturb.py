@@ -33,13 +33,12 @@ from .network import (
     BottleneckSplit,
     ConvexLoss,
     FactorChain,
-    NoInteriorBottleneckError,
     TransposedLoss,
-    bottleneck_split,
     chain_loss,
     make_split,
     partial_product,
     prefix_suffix_products,
+    split_or_raise,
 )
 
 __all__ = [
@@ -227,7 +226,7 @@ def escape_construction(
     :class:`FullRankAboveError` (use the mirrored entry point or accept the
     two-layer reduction), or :class:`ConstructionFailedError`.
     """
-    split = _split_or_raise(chain, split)
+    split = split_or_raise(chain, split)
     below, _ = prefix_suffix_products(chain.factors)
     product = below[-1]
     grad = loss.gradient(product)
@@ -237,10 +236,14 @@ def escape_construction(
             f"convex gradient norm {grad_norm:.3e} <= grad_tol "
             f"{tols.grad_tol:g}: point is a certified global minimum"
         )
+    scale = default_delta(chain)
     if delta is None:
-        delta = default_delta(chain)
+        delta = scale
     if not (delta > 0.0 and np.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    # The escaped super-layer gradient is linear in delta, so its floor is
+    # grad_tol at the default scale and shrinks with a smaller delta.
+    gradient_floor = tols.grad_tol * min(1.0, delta / scale)
 
     j = split.index
     kernels = kernel_family(chain, split, tols.rank_tol)
@@ -315,10 +318,10 @@ def escape_construction(
             "space; check subspace_tol against the conditioning of the inputs",
             diagnostics,
         )
-    if super_gradient_norm <= tols.grad_tol:
+    if super_gradient_norm <= gradient_floor:
         raise ConstructionFailedError(
             f"escaped super-layer gradient {super_gradient_norm:.3e} is below "
-            f"grad_tol {tols.grad_tol:g}; delta may be too small",
+            f"{gradient_floor:g}, grad_tol scaled by delta; delta may be too small",
             diagnostics,
         )
     if abs(loss_delta) > tols.invariance_tol * (1.0 + abs(original_loss)):
@@ -360,7 +363,7 @@ def escape_construction_mirrored(
     the original one.  The returned certificate is expressed in the original
     frame (``side == "above"``).
     """
-    split = _split_or_raise(chain, split)
+    split = split_or_raise(chain, split)
     k = chain.k
     rev = reversed_chain(chain)
     rev_split = make_split(rev, k - split.index)
@@ -399,10 +402,10 @@ def lift_perturbation(
     side "above"
         Find the minimum-norm update ``Z`` to layer ``k`` such that the
         upper super layer changes by exactly ``target_change``:
-        ``(M_k + Z) @ above_inner = above + target_change``.  Requires
-        ``above_inner`` to have full column rank.
+        ``(M_k + Z) @ M_{k-1} ... M_{j+1} = above + target_change``.
+        Requires ``M_{k-1} ... M_{j+1}`` to have full column rank.
     side "below"
-        Symmetric: update layer 1 through ``below_inner`` (full row rank
+        Symmetric: update layer 1 through ``M_j ... M_2`` (full row rank
         required), changing the lower super layer by ``target_change``.
 
     Returns ``(layer, update, amplification)`` where ``amplification`` is
@@ -413,27 +416,17 @@ def lift_perturbation(
         expected = split.above.shape
         if target.shape != expected:
             raise ValueError(f"target_change must have shape {expected}, got {target.shape}")
-        update, amplification = min_norm_right_solve(split.above_inner, target, rank_tol)
+        inner = partial_product(chain, split.index + 1, chain.k - 1)
+        update, amplification = min_norm_right_solve(inner, target, rank_tol)
         return chain.k, update, amplification
     if side == "below":
         expected = split.below.shape
         if target.shape != expected:
             raise ValueError(f"target_change must have shape {expected}, got {target.shape}")
-        update_t, amplification = min_norm_right_solve(
-            split.below_inner.T, target.T, rank_tol
-        )
+        inner = partial_product(chain, 2, split.index)
+        update_t, amplification = min_norm_right_solve(inner.T, target.T, rank_tol)
         return 1, update_t.T, amplification
     raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-
-
-def _split_or_raise(chain: FactorChain, split: BottleneckSplit | None) -> BottleneckSplit:
-    split = split if split is not None else bottleneck_split(chain)
-    if split is None:
-        raise NoInteriorBottleneckError(
-            f"chain with widths {chain.dims.widths} has no interior "
-            "bottleneck; escape construction does not apply"
-        )
-    return split
 
 
 def _basis(n: int, index: int) -> np.ndarray:

@@ -7,8 +7,9 @@ boundary-layer lifts, full-chain training against the closed-form
 rank-constrained oracle, the oracle against restarted two-layer descent, and
 bit-level determinism of generation and file round-trips.
 
-The rendered report is a pure function of ``(seed, trials)`` on a given
-platform: no timestamps, no paths, no iteration-order dependence.  Running
+The suite runs at the package's default tolerances, so the rendered report
+is a pure function of ``(seed, trials)`` on a given platform: no
+timestamps, no paths, no iteration-order dependence.  Running
 the suite twice with the same arguments must produce identical bytes, and
 that property is itself checked by the test suite.  The acceptance tests
 run the cores of the sections they share (``_gradient_checks``,
@@ -33,7 +34,7 @@ from .harness import (
     stream,
     train_gd,
 )
-from .linalg import Tolerances
+from .linalg import DEFAULT_INVARIANCE_TOL
 from .network import (
     FactorChain,
     LogCoshLoss,
@@ -152,7 +153,7 @@ _RESTART_TRIPLES = (
 _TRAINER_DIMS = (3, 4, 2, 4, 3)
 
 
-def _section_loss_contract(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_loss_contract(seed: int, trials: int) -> SectionResult:
     checks = 0
     for t, inst_seed in enumerate(_instance_seeds(seed, 1, trials)):
         data = stream(inst_seed, _SECTION_KEY_BASE + 1, t)
@@ -184,7 +185,7 @@ def _gradient_checks(specs):
             yield spec, layer, scaled, np.allclose(g, fd, rtol=1e-5, atol=1e-8)
 
 
-def _section_layer_gradients(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_layer_gradients(seed: int, trials: int) -> SectionResult:
     specs = []
     for t, inst_seed in enumerate(_instance_seeds(seed, 2, trials)):
         dims, kind = _FD_SPECS[t % len(_FD_SPECS)]
@@ -202,7 +203,7 @@ def _section_layer_gradients(seed: int, trials: int, tols: Tolerances) -> Sectio
     )
 
 
-def _section_product_invariance(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_product_invariance(seed: int, trials: int) -> SectionResult:
     checks = 0
     failures = 0
     errors: list[str] = []
@@ -219,7 +220,7 @@ def _section_product_invariance(seed: int, trials: int, tols: Tolerances) -> Sec
         for delta in (1e-1, 1e-3, 1e-6):
             checks += 1
             try:
-                cert = escape_construction(inst.chain, inst.loss, delta=delta, tols=tols)
+                cert = escape_construction(inst.chain, inst.loss, delta=delta)
             except ConstructionFailedError as exc:
                 errors.append(f"construction failed at delta {fmt_float(delta)} on trial {t}: {exc}")
                 continue
@@ -227,7 +228,7 @@ def _section_product_invariance(seed: int, trials: int, tols: Tolerances) -> Sec
                 np.linalg.norm(end_to_end(cert.perturbed_chain) - product)
             )
             worst = max(worst, drift / bound_scale)
-            if drift > tols.invariance_tol * bound_scale:
+            if drift > DEFAULT_INVARIANCE_TOL * bound_scale:
                 failures += 1
     detail = (
         f"{failures} of {checks} perturbed chains moved the end-to-end "
@@ -237,7 +238,7 @@ def _section_product_invariance(seed: int, trials: int, tols: Tolerances) -> Sec
     return SectionResult("product_invariance", passed, checks, "; ".join([detail, *errors]))
 
 
-def _escape_and_descend(problems, budget: int, tols: Tolerances):
+def _escape_and_descend(problems, budget: int):
     """Yield ``(report, after, error)`` per ``(chain, loss)``: its
     classification (None when the escape construction failed), the loss a
     descent search from an escapable plateau reached, and why the
@@ -245,15 +246,15 @@ def _escape_and_descend(problems, budget: int, tols: Tolerances):
     for chain, loss in problems:
         report = after = error = None
         try:
-            report = classify(chain, loss, tols=tols, compute_oracle_gap=False)
+            report = classify(chain, loss, compute_oracle_gap=False)
             if report.label is Classification.ESCAPABLE_PLATEAU:
-                after = chain_loss(descent_search(chain, loss, report, budget=budget, tols=tols), loss)
+                after = chain_loss(descent_search(chain, loss, report, budget=budget), loss)
         except (ConstructionFailedError, DescentNotFoundError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         yield report, after, error
 
 
-def _section_escape_and_descent(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_escape_and_descent(seed: int, trials: int) -> SectionResult:
     problems = []
     for t, inst_seed in enumerate(_instance_seeds(seed, 4, trials)):
         dims = _PLATEAU_DIMS[t % len(_PLATEAU_DIMS)]
@@ -262,7 +263,7 @@ def _section_escape_and_descent(seed: int, trials: int, tols: Tolerances) -> Sec
             InstanceSpec(dims=dims, construction="rank_deficient_plateau", loss_kind=kind, seed=inst_seed)
         )
         problems.append((inst.chain, inst.loss))
-    outcomes = list(_escape_and_descend(problems, 500, tols))
+    outcomes = list(_escape_and_descend(problems, 500))
     checks = len(outcomes)
     failures = sum(after is None or not after < report.loss for report, after, _ in outcomes)
     detail = (
@@ -273,7 +274,7 @@ def _section_escape_and_descent(seed: int, trials: int, tols: Tolerances) -> Sec
     return SectionResult("escape_and_descent", failures == 0, checks, "; ".join([detail, *errors]))
 
 
-def _section_canonical_plateau(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_canonical_plateau(seed: int, trials: int) -> SectionResult:
     chain, loss = canonical_plateau()
     problems: list[str] = []
     value = chain_loss(chain, loss)
@@ -286,7 +287,7 @@ def _section_canonical_plateau(seed: int, trials: int, tols: Tolerances) -> Sect
     if convex_norm != 2.0 * np.sqrt(2.0):
         problems.append(f"convex gradient norm {fmt_float(convex_norm)} != 2*sqrt(2)")
 
-    [(report, after, error)] = _escape_and_descend([(chain, loss)], 500, tols)
+    [(report, after, error)] = _escape_and_descend([(chain, loss)], 500)
     if report is not None:
         if report.label is not Classification.ESCAPABLE_PLATEAU:
             problems.append(f"label {report.label.value}")
@@ -327,7 +328,7 @@ def _section_canonical_plateau(seed: int, trials: int, tols: Tolerances) -> Sect
     return SectionResult("canonical_plateau", passed, 1, detail)
 
 
-def _lift_outcomes(cases, draw_target, tols: Tolerances):
+def _lift_outcomes(cases, draw_target):
     """Yield ``(layer, error, |target|, |update|, amplification)`` per
     ``(spec, side)`` case: the boundary-layer lift of the super-layer change
     ``draw_target(t, spec, shape)`` and how far the edited chain misses it."""
@@ -336,9 +337,7 @@ def _lift_outcomes(cases, draw_target, tols: Tolerances):
         split = make_split(inst.chain, inst.chain.dims.interior_bottleneck())
         shape = split.above.shape if side == "above" else split.below.shape
         target = draw_target(t, spec, shape)
-        layer, update, amplification = lift_perturbation(
-            inst.chain, split, target, side=side, rank_tol=tols.rank_tol
-        )
+        layer, update, amplification = lift_perturbation(inst.chain, split, target, side=side)
         edited = inst.chain.with_factor(layer, inst.chain.factor(layer) + update)
         if side == "above":
             achieved = partial_product(edited, split.index + 1, edited.k) - split.above
@@ -348,7 +347,7 @@ def _lift_outcomes(cases, draw_target, tols: Tolerances):
         yield layer, err, float(np.linalg.norm(target)), float(np.linalg.norm(update)), amplification
 
 
-def _section_lift_exactness(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_lift_exactness(seed: int, trials: int) -> SectionResult:
     cases = [
         (InstanceSpec(dims=_LIFT_DIMS[t % len(_LIFT_DIMS)], seed=s), "above" if t % 2 == 0 else "below")
         for t, s in enumerate(_instance_seeds(seed, 6, trials))
@@ -357,7 +356,7 @@ def _section_lift_exactness(seed: int, trials: int, tols: Tolerances) -> Section
     def draw(t: int, spec: InstanceSpec, shape) -> np.ndarray:
         return stream(spec.seed, _SECTION_KEY_BASE + 6, t).standard_normal(shape)
 
-    outcomes = list(_lift_outcomes(cases, draw, tols))
+    outcomes = list(_lift_outcomes(cases, draw))
     checks = len(outcomes)
     failures = sum(err > 1e-9 * norm for _, err, norm, _, _ in outcomes)
     worst = max([0.0, *(err / max(norm, 1e-300) for _, err, norm, _, _ in outcomes)])
@@ -370,28 +369,28 @@ def _section_lift_exactness(seed: int, trials: int, tols: Tolerances) -> Section
     )
 
 
-def _oracle_runs(seeds, dims, config: TrainConfig, tols: Tolerances):
+def _oracle_runs(seeds, dims, config: TrainConfig):
     """Yield ``(trained chain, loss, status, final loss, oracle loss, near)``
     per seed: full-chain descent on a generated instance next to the
     closed-form optimum, ``near`` within 1e-5 relative of it."""
     for inst_seed in seeds:
         inst = gen_instance(InstanceSpec(dims=dims, seed=inst_seed))
-        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, inst.chain.dims.min_width, tols.rank_tol)
+        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, inst.chain.dims.min_width)
         trained, trajectory = train_gd(inst.chain, inst.loss, config=config)
         final = chain_loss(trained, inst.loss)
         near = final <= fit.loss + 1e-5 * (1.0 + abs(fit.loss))
         yield trained, inst.loss, trajectory.status, final, fit.loss, near
 
 
-def _section_trainer_vs_oracle(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_trainer_vs_oracle(seed: int, trials: int) -> SectionResult:
     config = TrainConfig(max_steps=4000, stop_grad_tol=1e-8)
-    runs = _oracle_runs(_instance_seeds(seed, 7, trials), _TRAINER_DIMS, config, tols)
+    runs = _oracle_runs(_instance_seeds(seed, 7, trials), _TRAINER_DIMS, config)
     near = explained = 0
     for trained, loss, status, _, _, is_near in runs:
         if is_near:
             near += 1
         else:
-            label = classify(trained, loss, tols=tols, compute_oracle_gap=False).label
+            label = classify(trained, loss, compute_oracle_gap=False).label
             explained += int(status == "stalled-critical" and label is not Classification.NOT_CRITICAL)
     unexplained = trials - near - explained
     passed = unexplained == 0 and near >= int(np.ceil(0.95 * trials))
@@ -405,7 +404,7 @@ def _section_trainer_vs_oracle(seed: int, trials: int, tols: Tolerances) -> Sect
     )
 
 
-def _section_oracle_vs_restarts(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
     problems = 0
     checks = 0
     worst = 0.0
@@ -416,7 +415,7 @@ def _section_oracle_vs_restarts(seed: int, trials: int, tols: Tolerances) -> Sec
         dims = _RESTART_TRIPLES[t % len(_RESTART_TRIPLES)]
         spec = InstanceSpec(dims=dims, seed=inst_seed)
         inst = gen_instance(spec)
-        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, min(dims), tols.rank_tol)
+        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, min(dims))
         restart_rng = stream(inst_seed, _SECTION_KEY_BASE + 8, t)
         best = np.inf
         for _ in range(restarts):
@@ -438,7 +437,7 @@ def _section_oracle_vs_restarts(seed: int, trials: int, tols: Tolerances) -> Sec
     )
 
 
-def _section_determinism_roundtrip(seed: int, trials: int, tols: Tolerances) -> SectionResult:
+def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
     problems: list[str] = []
     checks = 0
     seeds = _instance_seeds(seed, 9, max(1, trials))
@@ -514,11 +513,7 @@ _SECTIONS = (
 )
 
 
-def verify_suite(
-    seed: int = 0,
-    trials: int = 4,
-    tols: Tolerances = Tolerances(),
-) -> VerifyReport:
+def verify_suite(seed: int = 0, trials: int = 4) -> VerifyReport:
     """Run every section at the given breadth.
 
     ``trials`` scales how many instances each randomized section draws;
@@ -534,7 +529,7 @@ def verify_suite(
             sections=(),
             warning="trials=0: no checks were executed; the pass is vacuous",
         )
-    sections = tuple(fn(seed, trials, tols) for fn in _SECTIONS)
+    sections = tuple(fn(seed, trials) for fn in _SECTIONS)
     return VerifyReport(seed=seed, trials=trials, sections=sections)
 
 

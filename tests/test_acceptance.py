@@ -29,7 +29,7 @@ from dln_landscape.harness import (
     stream,
     train_gd,
 )
-from dln_landscape.linalg import Tolerances, best_rank_approx
+from dln_landscape.linalg import best_rank_approx
 from dln_landscape.network import (
     QuadraticLoss,
     bottleneck_split,
@@ -170,7 +170,7 @@ def test_acceptance_3_constructed_plateaus_escape_and_descend():
         )
         for i in range(500)
     ]
-    outcomes = _escape_and_descend([(inst.chain, inst.loss) for inst in instances], 500, Tolerances())
+    outcomes = _escape_and_descend([(inst.chain, inst.loss) for inst in instances], 500)
     successes = 0
     failures = []
     construction_failed = False
@@ -205,7 +205,7 @@ def test_acceptance_3_constructed_plateaus_escape_and_descend():
 
 
 def test_acceptance_4_closed_form_plateau_fixture():
-    section = _section_canonical_plateau(0, 1, Tolerances())
+    section = _section_canonical_plateau(0, 1)
     _verdict(4, "hand-traced width-1 plateau fixture is exact", section.passed, section.detail)
 
 
@@ -221,7 +221,7 @@ def test_acceptance_5_boundary_layer_lift_is_exact():
 
     violations = 0
     worst = 0.0
-    for (spec, _), outcome in zip(cases, _lift_outcomes(cases, draw, Tolerances())):
+    for (spec, _), outcome in zip(cases, _lift_outcomes(cases, draw)):
         layer, err, target_norm, update_norm, amplification = outcome
         assert layer == len(spec.dims) - 1
         bound = 1e-9 * target_norm
@@ -251,7 +251,7 @@ def test_acceptance_6_gradient_descent_reaches_the_oracle():
     near = 0
     unexplained = []
     worst_rel = 0.0
-    for i, run in enumerate(_oracle_runs(seeds, (3, 4, 2, 4, 3), config, Tolerances())):
+    for i, run in enumerate(_oracle_runs(seeds, (3, 4, 2, 4, 3), config)):
         trained, loss, status, final, oracle, is_near = run
         worst_rel = max(worst_rel, (final - oracle) / (1.0 + abs(oracle)))
         near += is_near

@@ -164,12 +164,6 @@ class TestDescentSearch:
         better = descent_search(chain, loss, report, budget=500)
         assert chain_loss(better, loss) < 2.0 - 1e-3
 
-    def test_full_chain_fallback_also_descends(self):
-        chain, loss = canonical_plateau()
-        report = classify(chain, loss)
-        better = descent_search(chain, loss, report, budget=500, full_chain=True)
-        assert chain_loss(better, loss) < 2.0 - 1e-6
-
     def test_wrong_label_rejected(self):
         inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=10))
         report = classify(inst.chain, inst.loss)
@@ -207,8 +201,6 @@ class TestDescentSearch:
         with pytest.raises(DescentNotFoundError) as exc:
             descent_search(chain, loss, report, budget=200)
         assert exc.value.diagnostics["status"] == "stalled-critical"
-        with pytest.raises(DescentNotFoundError):
-            descent_search(chain, loss, report, budget=200, full_chain=True)
 
     def test_mirrored_descent_succeeds(self):
         chain = FactorChain(

@@ -247,6 +247,14 @@ class TestToleranceFlags:
         assert err.startswith("usage: dln ")
         assert f"unrecognized arguments: {flag}" in err
 
+    @pytest.mark.parametrize("flag", ("--tol-rank", "--tol-grad", "--tol-invariance", "--tol-subspace"))
+    def test_verify_tolerance_flag_is_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "0", flag, "1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dln ")
+        assert f"unrecognized arguments: {flag}" in err
 
     @pytest.mark.parametrize(
         "command", (["train"], ["oracle"], ["lift", "--target", "change.csv"]), ids=("train", "oracle", "lift")

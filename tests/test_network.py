@@ -297,8 +297,6 @@ class TestSplits:
         assert split.width == 2
         assert np.allclose(split.above, chain.factor(4) @ chain.factor(3))
         assert np.allclose(split.below, chain.factor(2) @ chain.factor(1))
-        assert np.allclose(split.above_inner, chain.factor(3))
-        assert np.allclose(split.below_inner, chain.factor(2))
 
     def test_make_split_rejects_non_bottleneck(self):
         chain = _random_chain((3, 4, 2, 4, 3), seed=14)

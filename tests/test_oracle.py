@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from dln_landscape.harness import InstanceSpec, gen_instance
 from dln_landscape.linalg import best_rank_approx, numerical_rank
-from dln_landscape.network import FactorChain, QuadraticLoss, layer_gradients
+from dln_landscape.network import layer_gradients
 from dln_landscape.oracle import (
     RankDeficientDataError,
     finite_diff_gradient,
@@ -109,9 +109,3 @@ class TestFiniteDiffGradient:
         for layer in (1, 2, 3):
             fd = finite_diff_gradient(inst.chain, inst.loss, layer)
             assert np.linalg.norm(fd) <= 1e-8
-
-    def test_explicit_step_honored(self):
-        chain = FactorChain((np.eye(2), np.eye(2)))
-        loss = QuadraticLoss(np.eye(2), np.zeros((2, 2)))
-        fd = finite_diff_gradient(chain, loss, 1, step=1e-4)
-        assert np.allclose(fd, 2.0 * np.eye(2), rtol=1e-6, atol=1e-10)

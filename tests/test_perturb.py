@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dln_landscape.harness import InstanceSpec, gen_instance
-from dln_landscape.linalg import RankDeficientLiftError, Tolerances
+from dln_landscape.linalg import RankDeficientLiftError, Tolerances, min_norm_right_solve
 from dln_landscape.network import (
     FactorChain,
     QuadraticLoss,
@@ -272,6 +272,19 @@ class TestLiftPerturbation:
         )
         assert np.linalg.norm(achieved - target) <= 1e-9 * np.linalg.norm(target)
         assert amp > 0.0
+
+    def test_lifts_through_the_inner_product(self):
+        # Above the cut the update goes through M_{k-1}...M_{j+1} = M_3; below
+        # it through M_j...M_2 = M_2.
+        chain = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=13)).chain
+        split = make_split(chain, 2)
+        rng = np.random.default_rng(14)
+        above_target = rng.standard_normal(split.above.shape)
+        _, update, _ = lift_perturbation(chain, split, above_target, side="above")
+        assert np.allclose(update, min_norm_right_solve(chain.factor(3), above_target)[0])
+        below_target = rng.standard_normal(split.below.shape)
+        _, update, _ = lift_perturbation(chain, split, below_target, side="below")
+        assert np.allclose(update.T, min_norm_right_solve(chain.factor(2).T, below_target.T)[0])
 
     def test_bad_side_rejected(self):
         chain, _ = canonical_plateau()
