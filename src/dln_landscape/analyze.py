@@ -42,7 +42,7 @@ from .network import (
     prefix_suffix_products,
     split_or_raise,
 )
-from .oracle import RankDeficientDataError, rrr_oracle
+from .oracle import rrr_oracle
 from .optim import STATUS_BUDGET, armijo_gd
 from .perturb import (
     EscapeCertificate,
@@ -96,7 +96,6 @@ class CriticalPointReport:
     super_gradient_above_norm: float | None
     super_gradient_below_norm: float | None
     escape: EscapeCertificate | None = field(default=None, repr=False)
-    reduction: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     oracle_gap: float | None = None
     diagnostic: str | None = None
 
@@ -142,7 +141,9 @@ def classify(
     gradient and are split by super-layer ranks (or flagged as saddles when
     the chain has no interior bottleneck).  For ``ESCAPABLE_PLATEAU`` the
     escape certificate is constructed on the rank-deficient side; for
-    ``REDUCIBLE_FULL_RANK`` the two super layers are attached.
+    ``REDUCIBLE_FULL_RANK`` :func:`two_layer_reduction` hands back the two
+    super layers.  Quadratic losses also get ``oracle_gap``, the loss above
+    the closed-form rank-``d`` optimum, on any data.
     """
     below, above = prefix_suffix_products(chain.factors)
     value = loss.value(below[-1])
@@ -165,14 +166,10 @@ def classify(
 
     oracle_gap = None
     if compute_oracle_gap and isinstance(loss, QuadraticLoss):
-        try:
-            fit = rrr_oracle(loss.inputs, loss.targets, chain.dims.min_width, tols.rank_tol)
-            oracle_gap = value - fit.loss
-        except RankDeficientDataError:
-            oracle_gap = None
+        fit = rrr_oracle(loss.inputs, loss.targets, chain.dims.min_width, tols.rank_tol)
+        oracle_gap = value - fit.loss
 
     escape = None
-    reduction = None
     diagnostic = None
     if convex_norm <= tols.grad_tol:
         label = Classification.GLOBAL_CERTIFIED
@@ -196,7 +193,6 @@ def classify(
             )
     else:
         label = Classification.REDUCIBLE_FULL_RANK
-        reduction = (split.above, split.below)
 
     return CriticalPointReport(
         label=label,
@@ -209,7 +205,6 @@ def classify(
         super_gradient_above_norm=sg_above,
         super_gradient_below_norm=sg_below,
         escape=escape,
-        reduction=reduction,
         oracle_gap=oracle_gap,
         diagnostic=diagnostic,
     )

@@ -9,7 +9,7 @@ a stored instance), ``perturb`` (build and store an escape certificate),
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 infeasible
 construction or analysis (the request was well-formed but the mathematics
 declines: no interior bottleneck, full-rank super layer, vanishing gradient,
-rank-deficient data, and so on).
+a loss without a closed-form optimum, and so on).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .harness import (
 )
 from .linalg import RankDeficientLiftError, Tolerances
 from .network import NoInteriorBottleneckError, QuadraticLoss, chain_loss, split_or_raise
-from .oracle import RankDeficientDataError, rrr_oracle
+from .oracle import rrr_oracle
 from .perturb import (
     ConstructionFailedError,
     FullRankAboveError,
@@ -71,7 +71,6 @@ _INFEASIBLE = (
     GradientVanishesError,
     NoInteriorBottleneckError,
     RankDeficientLiftError,
-    RankDeficientDataError,
     ConstructionFailedError,
     DescentNotFoundError,
 )
@@ -265,7 +264,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     rank_tol = _rank_tol(args)
     chain, loss, _ = load_instance(args.instance)
     if not isinstance(loss, QuadraticLoss):
-        raise RankDeficientDataError(
+        raise InfeasibleConstructionError(
             "the closed-form optimum is defined for the quadratic loss only"
         )
     rank = args.rank if args.rank is not None else chain.dims.min_width

@@ -21,7 +21,8 @@ rank_deficient_plateau
     which is what lets plain descent exploit the certificate.
 full_rank_critical
     Quadratic loss only: a stationary-but-not-optimal point of the
-    rank-constrained regression, built in whitened coordinates by keeping a
+    rank-constrained regression, built in the oracle's whitened coordinates
+    (the row space of the inputs, so any sample count works) by keeping a
     *shifted* window of singular directions (dropping the top one), then
     factored through the widths.  Both super layers have full rank ``d``;
     the analyzer reduces such points to the two-layer question.
@@ -47,7 +48,7 @@ from .network import (
     running_product,
 )
 from .optim import armijo_gd
-from .oracle import rrr_oracle
+from .oracle import _row_space_whitening, rrr_oracle
 
 __all__ = [
     "InfeasibleConstructionError",
@@ -280,15 +281,9 @@ def gen_instance(spec: InstanceSpec) -> Instance:
                 f"need boundary widths strictly above the bottleneck width "
                 f"{d} to skip a singular direction, got {widths}"
             )
-        if spec.effective_n < widths[0]:
-            raise InfeasibleConstructionError(
-                f"need n >= d_0 = {widths[0]} samples for whitening, got "
-                f"{spec.effective_n}"
-            )
         assert isinstance(loss, QuadraticLoss)
-        q_thin, r_upper = np.linalg.qr(loss.inputs.T)
-        whitened = loss.targets @ q_thin
-        u, s, vh = np.linalg.svd(whitened, full_matrices=False)
+        basis, back = _row_space_whitening(loss.inputs)
+        u, s, vh = np.linalg.svd(loss.targets @ basis, full_matrices=False)
         if s.size < d + 1 or s[d] <= Tolerances().rank_tol * s[0]:
             raise InfeasibleConstructionError(
                 "whitened targets do not carry d+1 usable singular directions"
@@ -297,7 +292,7 @@ def gen_instance(spec: InstanceSpec) -> Instance:
         half = np.sqrt(s[window])
         above = u[:, window] * half
         below_white = half[:, None] * vh[window, :]
-        below = np.linalg.solve(r_upper, below_white.T).T
+        below = below_white @ back
         return Instance(
             FactorChain(tuple(_factor_through(spec, j, above, below))), loss, spec
         )
@@ -308,13 +303,6 @@ def gen_instance(spec: InstanceSpec) -> Instance:
     planted = _planted_map(spec, d)
     if spec.loss_kind == "quadratic":
         assert isinstance(loss, QuadraticLoss)
-        if spec.effective_n < widths[0]:
-            raise InfeasibleConstructionError(
-                f"need n >= d_0 = {widths[0]} samples for the oracle fit, got "
-                f"{spec.effective_n}"
-            )
-        if numerical_rank(loss.inputs) < widths[0]:
-            raise InfeasibleConstructionError("generated inputs are rank deficient")
         loss = QuadraticLoss(loss.inputs, planted @ loss.inputs)
         optimum = rrr_oracle(loss.inputs, loss.targets, d).map
     else:

@@ -2,8 +2,9 @@
 finite-difference gradients.
 
 These deliberately avoid the code paths they are used to check: the
-reduced-rank fit goes through orthogonal whitening (never the normal
-equations), and the finite-difference routine touches only ``chain_loss``.
+reduced-rank fit goes through orthogonal whitening on the row space of the
+inputs (never the normal equations), and the finite-difference routine
+touches only ``chain_loss``.
 """
 
 from __future__ import annotations
@@ -12,25 +13,35 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import Tolerances, best_rank_approx, ensure_matrix, numerical_rank
+from .linalg import Tolerances, _rank_of_spectrum, best_rank_approx, ensure_matrix
 from .network import ConvexLoss, FactorChain, chain_loss
 
 __all__ = [
-    "RankDeficientDataError",
     "ReducedRankFit",
     "rrr_oracle",
     "finite_diff_gradient",
 ]
 
 
-class RankDeficientDataError(ValueError):
-    """Input data matrix lacks full row rank, so the whitened reduced-rank
-    problem is not well posed."""
-
-
 class ReducedRankFit(NamedTuple):
     map: np.ndarray
     loss: float
+
+
+def _row_space_whitening(
+    inputs: np.ndarray, rank_tol: float = Tolerances().rank_tol
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(basis, back)`` for the thin SVD ``X = U_r S_r V_r^T`` at numerical
+    rank ``r``.
+
+    ``basis = V_r`` (``n x r``, orthonormal columns) whitens targets: for any
+    ``W``, ``|W X - Y|^2 = |Z - Y V_r|^2 + |Y (I - V_r V_r^T)|^2`` with
+    ``Z = W U_r S_r``.  ``back = S_r^{-1} U_r^T`` (``r x d_0``) maps a
+    whitened ``Z`` to the minimum-norm ``W = Z @ back`` that realises it.
+    """
+    u, s, vh = np.linalg.svd(inputs, full_matrices=False)
+    r = _rank_of_spectrum(s, rank_tol)
+    return vh[:r].T, u[:, :r].T / s[:r, None]
 
 
 def rrr_oracle(
@@ -42,33 +53,21 @@ def rrr_oracle(
     """Globally optimal rank-constrained least squares via whitening.
 
     Minimizes ``|W X - Y|_F^2`` over matrices ``W`` of rank at most
-    ``rank``.  The inputs are factored ``X = R Q`` with orthonormal rows
-    ``Q`` (thin QR of ``X^T``), the problem is solved exactly in the
-    whitened variable by singular value truncation of ``Y Q^T``, and the
-    solution is mapped back through the triangular factor.  No normal
+    ``rank``, for inputs of any shape and rank.  The problem is solved
+    exactly on the row space of ``X`` (numerical rank at ``rank_tol``): the
+    whitened targets ``Y V_r`` are truncated to ``rank`` singular
+    directions and mapped back to the minimum-norm ``W``, whose rows lie in
+    the column space of ``X``.  Only orthogonal factors are used; no normal
     equations are formed.
-
-    ``X`` (``d_0 x n``, ``n >= d_0``) must have full row rank at
-    ``rank_tol``; otherwise :class:`RankDeficientDataError` is raised.
     """
     x = ensure_matrix(inputs, "inputs")
     y = ensure_matrix(targets, "targets")
-    if x.shape[1] < x.shape[0]:
-        raise RankDeficientDataError(
-            f"need at least as many samples as input rows, got {x.shape}"
-        )
     if y.shape[1] != x.shape[1]:
         raise ValueError(
             f"inputs have {x.shape[1]} samples, targets have {y.shape[1]}"
         )
-    if numerical_rank(x, rank_tol) < x.shape[0]:
-        raise RankDeficientDataError(
-            f"inputs of shape {x.shape} are numerically rank deficient"
-        )
-    q_thin, r_upper = np.linalg.qr(x.T)  # X^T = Q_thin R_upper
-    whitened = y @ q_thin  # = Y Q^T for Q = Q_thin^T
-    truncated = best_rank_approx(whitened, rank)
-    w = np.linalg.solve(r_upper, truncated.T).T  # solves W R_upper^T = truncated
+    basis, back = _row_space_whitening(x, rank_tol)
+    w = best_rank_approx(y @ basis, rank) @ back
     residual = w @ x - y
     return ReducedRankFit(map=w, loss=float(np.sum(residual * residual)))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyze import CriticalPointReport
+from .analyze import Classification, CriticalPointReport
 from .harness import Trajectory, TrajectoryPoint
 from .network import ConvexLoss, FactorChain, LogCoshLoss, QuadraticLoss
 from .perturb import EscapeCertificate
@@ -240,8 +240,9 @@ def load_trajectory_csv(path) -> list[TrajectoryPoint]:
 
 
 def report_to_dict(report: CriticalPointReport) -> dict:
-    """JSON-ready view of a report (floats as exact decimal strings)."""
-    out: dict = {
+    """JSON-ready view of a report (floats as exact decimal strings), with
+    keys in the order of the text rendering."""
+    return {
         "label": report.label.value,
         "loss": fmt_float(report.loss),
         "convex_gradient_norm": fmt_float(report.convex_gradient_norm),
@@ -249,51 +250,27 @@ def report_to_dict(report: CriticalPointReport) -> dict:
         "split_index": report.split_index,
         "rank_above": report.rank_above,
         "rank_below": report.rank_below,
-        "super_gradient_above_norm": (
-            None
-            if report.super_gradient_above_norm is None
-            else fmt_float(report.super_gradient_above_norm)
-        ),
-        "super_gradient_below_norm": (
-            None
-            if report.super_gradient_below_norm is None
-            else fmt_float(report.super_gradient_below_norm)
-        ),
-        "oracle_gap": None if report.oracle_gap is None else fmt_float(report.oracle_gap),
+        "super_gradient_above_norm": _fmt_optional(report.super_gradient_above_norm),
+        "super_gradient_below_norm": _fmt_optional(report.super_gradient_below_norm),
+        "oracle_gap": _fmt_optional(report.oracle_gap),
+        "has_reduction": report.label is Classification.REDUCIBLE_FULL_RANK,
         "diagnostic": report.diagnostic,
-        "has_reduction": report.reduction is not None,
+        "escape": None if report.escape is None else certificate_to_dict(report.escape),
     }
-    out["escape"] = (
-        None if report.escape is None else certificate_to_dict(report.escape)
-    )
-    return out
+
+
+def _fmt_optional(x: float | None) -> str | None:
+    return None if x is None else fmt_float(x)
 
 
 def render_report_text(report: CriticalPointReport) -> str:
     """Deterministic plain-text rendering (key: value per line)."""
     d = report_to_dict(report)
-    lines = []
-    for key in (
-        "label",
-        "loss",
-        "convex_gradient_norm",
-        "layer_gradient_norms",
-        "split_index",
-        "rank_above",
-        "rank_below",
-        "super_gradient_above_norm",
-        "super_gradient_below_norm",
-        "oracle_gap",
-        "has_reduction",
-        "diagnostic",
-    ):
-        value = d[key]
-        if key == "layer_gradient_norms":
-            value = ",".join(value)
-        lines.append(f"{key}: {'none' if value is None else value}")
-    if d["escape"] is None:
+    escape = d.pop("escape")
+    d["layer_gradient_norms"] = ",".join(d["layer_gradient_norms"])
+    lines = [f"{key}: {'none' if value is None else value}" for key, value in d.items()]
+    if escape is None:
         lines.append("escape: none")
     else:
-        for key, value in d["escape"].items():
-            lines.append(f"escape.{key}: {value}")
+        lines.extend(f"escape.{key}: {value}" for key, value in escape.items())
     return "\n".join(lines) + "\n"

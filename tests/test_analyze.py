@@ -11,7 +11,7 @@ from dln_landscape.analyze import (
     super_gradients,
     two_layer_reduction,
 )
-from dln_landscape.harness import InstanceSpec, gen_instance
+from dln_landscape.harness import CONSTRUCTIONS, InstanceSpec, gen_instance
 from dln_landscape.network import (
     FactorChain,
     NoInteriorBottleneckError,
@@ -68,7 +68,8 @@ class TestClassify:
             report = classify(inst.chain, inst.loss)
             assert report.label is Classification.GLOBAL_CERTIFIED
             assert report.escape is None
-            assert report.reduction is None
+            with pytest.raises(WrongClassificationError):
+                two_layer_reduction(inst.chain, report)
 
     def test_full_rank_critical_reducible(self):
         inst = gen_instance(
@@ -78,11 +79,22 @@ class TestClassify:
         assert report.label is Classification.REDUCIBLE_FULL_RANK
         assert report.rank_above == 2
         assert report.rank_below == 2
-        assert report.reduction is not None
+        above, below = two_layer_reduction(inst.chain, report)
+        assert above.shape == (3, 2) and below.shape == (2, 3)
         assert report.oracle_gap is not None and report.oracle_gap > 1e-3
         # stationarity of the super layers, not just the layers
         assert report.super_gradient_above_norm <= 1e-8
         assert report.super_gradient_below_norm <= 1e-8
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    @pytest.mark.parametrize("dims, n", [((4, 5, 2, 5, 3), 3), ((6, 3, 2, 4, 3), 4)])
+    def test_oracle_gap_on_fewer_samples_than_inputs(self, construction, dims, n):
+        inst = gen_instance(
+            InstanceSpec(dims=dims, construction=construction, n_samples=n, seed=1)
+        )
+        report = classify(inst.chain, inst.loss)
+        assert np.isfinite(report.oracle_gap)
+        assert report.oracle_gap >= -1e-12 * (1.0 + report.loss)
 
     def test_plateau_escapable_with_certificate(self):
         inst = gen_instance(

@@ -1,10 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dln_landscape.network
 from dln_landscape.cli import main
+from dln_landscape.harness import CONSTRUCTIONS
 from dln_landscape.network import bottleneck_split, partial_product
 from dln_landscape.storage import (
     load_chain,
@@ -15,11 +18,20 @@ from dln_landscape.storage import (
 )
 
 
+GOLDEN = Path(__file__).parent / "data" / "analyze_golden"
+
+
 def _edit_manifest(directory, edit) -> None:
     path = directory / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     edit(manifest)
     path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _cut_oracle_gap(report: str) -> tuple[str, float]:
+    """``report`` with the oracle gap's digits removed, and the gap."""
+    match = re.search(r'oracle_gap"?: "?([-+.e0-9]+)', report)
+    return report[: match.start(1)] + report[match.end(1):], float(match.group(1))
 
 
 def _gen(tmp_path, name, *extra):
@@ -91,6 +103,18 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == "reducible_full_rank"
         assert payload["has_reduction"] is True
+
+    @pytest.mark.parametrize("fmt, stored", [("text", "analyze.txt"), ("json", "analyze.json")])
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_stdout_matches_stored_report(self, construction, fmt, stored, capsys):
+        # stored instances and reports were written together; only the last
+        # digits of the oracle gap may move with the oracle's rounding
+        directory = GOLDEN / construction
+        assert main(["analyze", str(directory), "--format", fmt]) == 0
+        out, gap = _cut_oracle_gap(capsys.readouterr().out)
+        expected, expected_gap = _cut_oracle_gap((directory / stored).read_text(encoding="utf-8"))
+        assert out == expected
+        assert gap == pytest.approx(expected_gap, rel=1e-14, abs=1e-14)
 
     def test_missing_instance_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nowhere")]) == 1
@@ -295,6 +319,17 @@ class TestOracle:
         inst = _gen(tmp_path, "inst", "--dims", "3,2,3", "--loss", "logcosh")
         capsys.readouterr()
         assert main(["oracle", str(inst)]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: the closed-form optimum is defined for the quadratic loss only\n"
+        )
+
+    def test_fewer_samples_than_inputs(self, tmp_path, capsys):
+        inst = _gen(tmp_path, "inst", "--dims", "4,5,2,5,3", "--n-samples", "2")
+        capsys.readouterr()
+        assert main(["oracle", str(inst), "--format", "json"]) == 0
+        assert float(json.loads(capsys.readouterr().out)["gap"]) >= 0.0
+        assert main(["analyze", str(inst), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_gap"] is not None
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dln_landscape
+from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import (
     InfeasibleConstructionError,
     InstanceSpec,
@@ -148,6 +149,18 @@ class TestGenerateFullRankCritical:
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, 2)
         assert chain_loss(inst.chain, inst.loss) > fit.loss + 1e-3
 
+    @pytest.mark.parametrize("dims, n", [((4, 5, 2, 5, 3), 3), ((6, 3, 2, 4, 3), 4)])
+    def test_fewer_samples_than_inputs(self, dims, n):
+        inst = gen_instance(
+            InstanceSpec(dims=dims, construction="full_rank_critical", n_samples=n, seed=5)
+        )
+        assert max(np.linalg.norm(g) for g in layer_gradients(inst.chain, inst.loss)) <= 1e-12
+        split = bottleneck_split(inst.chain)
+        assert numerical_rank(split.above) == numerical_rank(split.below) == 2
+        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, 2)
+        assert chain_loss(inst.chain, inst.loss) > fit.loss + 1e-3
+        assert classify(inst.chain, inst.loss).label is Classification.REDUCIBLE_FULL_RANK
+
     def test_quadratic_only(self):
         with pytest.raises(InfeasibleConstructionError):
             gen_instance(
@@ -182,6 +195,17 @@ class TestGenerateFactoredGlobal:
         )
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, 2)
         assert chain_loss(inst.chain, inst.loss) <= fit.loss + 1e-9
+
+
+    @pytest.mark.parametrize("dims, n", [((4, 5, 2, 5, 3), 2), ((4, 5, 2, 5, 3), 3),
+                                         ((6, 3, 2, 4, 3), 4)])
+    def test_fewer_samples_than_inputs(self, dims, n):
+        inst = gen_instance(
+            InstanceSpec(dims=dims, construction="factored_global", n_samples=n, seed=7)
+        )
+        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, 2)
+        assert chain_loss(inst.chain, inst.loss) <= fit.loss + 1e-9
+        assert classify(inst.chain, inst.loss).label is Classification.GLOBAL_CERTIFIED
 
 
 class TestRegenerate:

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dln_landscape.harness import InstanceSpec, gen_instance
+from dln_landscape.harness import InstanceSpec, TrainConfig, gen_instance, train_gd
 from dln_landscape.linalg import best_rank_approx, numerical_rank
 from dln_landscape.network import layer_gradients
-from dln_landscape.oracle import (
-    RankDeficientDataError,
-    finite_diff_gradient,
-    rrr_oracle,
-)
+from dln_landscape.oracle import finite_diff_gradient, rrr_oracle
 
 
 class TestRRROracle:
@@ -36,14 +32,39 @@ class TestRRROracle:
         resid = fit.map @ x - y
         assert fit.loss == pytest.approx(float(np.sum(resid * resid)), rel=1e-12)
 
-    def test_rank_deficient_inputs_rejected(self):
-        x = np.ones((3, 5))  # rows identical: rank 1 < 3
-        y = np.zeros((2, 5))
-        with pytest.raises(RankDeficientDataError):
-            rrr_oracle(x, y, rank=1)
-        # fewer samples than input dimension can never have full row rank
-        with pytest.raises(RankDeficientDataError):
-            rrr_oracle(np.eye(3)[:, :2], np.zeros((2, 2)), rank=1)
+    @pytest.mark.parametrize("n", [8, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_dependent_rows_match_dropped_rows(self, rank, n):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((3, n))
+        x = np.vstack([base, base[0], 2.0 * base[1] - base[2]])  # rank 3 of 5 rows
+        y = rng.standard_normal((4, n))
+        fit = rrr_oracle(x, y, rank=rank)
+        reduced = rrr_oracle(base, y, rank=rank)
+        assert fit.loss == pytest.approx(reduced.loss, rel=1e-12, abs=1e-12)
+        resid = fit.map @ x - y
+        assert fit.loss == pytest.approx(float(np.sum(resid * resid)), rel=1e-12, abs=1e-24)
+        assert numerical_rank(fit.map) <= rank
+
+    @pytest.mark.parametrize("shape", [(5, 8), (5, 3)])
+    def test_map_is_minimum_norm(self, shape):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+        y = rng.standard_normal((2, shape[1]))
+        fit = rrr_oracle(x, y, rank=1)
+        # rows of the map lie in the column space of X: W = W X X^+
+        assert np.allclose(fit.map, fit.map @ x @ np.linalg.pinv(x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims, n", [((4, 5, 2, 5, 3), 2), ((4, 5, 2, 5, 3), 3),
+                                         ((6, 3, 2, 4, 3), 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_descent_does_not_beat_oracle_on_fewer_samples(self, dims, n, seed):
+        inst = gen_instance(InstanceSpec(dims=dims, n_samples=n, seed=seed))
+        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, rank=min(dims))
+        _, trajectory = train_gd(inst.chain, inst.loss, TrainConfig(max_steps=2000))
+        scale = 1.0 + float(np.sum(inst.loss.targets ** 2))
+        assert trajectory.final.loss >= fit.loss - 1e-12 * scale
+        assert trajectory.final.loss <= fit.loss + 1e-9 * scale
 
     def test_map_respects_rank_budget(self):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
-"""The names that the benchmark tracer wraps and that the package exports exist.
+"""The names that the benchmark tracer wraps and that the package and its
+modules export exist.
 
 ``perfbench/tracing.py`` wraps package functions by name, so a deleted or
 renamed function would otherwise surface only when the traced benchmark
@@ -8,6 +9,7 @@ nothing under ``perfbench/``.
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import dln_landscape
@@ -36,4 +38,12 @@ def test_every_traced_function_resolves():
 
 def test_every_package_export_resolves():
     missing = [name for name in dln_landscape.__all__ if not hasattr(dln_landscape, name)]
+    assert not missing, f"exported but missing: {missing}"
+
+
+def test_every_module_export_resolves():
+    missing = []
+    for info in pkgutil.iter_modules(dln_landscape.__path__):
+        module = importlib.import_module(f"dln_landscape.{info.name}")
+        missing += [f"{info.name}.{name}" for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"exported but missing: {missing}"
