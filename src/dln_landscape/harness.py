@@ -357,11 +357,15 @@ def train_gd(
 ) -> tuple[FactorChain, Trajectory]:
     """Backtracking gradient descent on every layer, with a full trajectory.
 
-    Stops when the largest layer-gradient norm reaches
+    Runs ``optim.armijo_gd``: each line search starts from the
+    Barzilai–Borwein step of the last accepted step and halves it until the
+    Armijo test passes.  Stops when the largest layer-gradient norm reaches
     ``config.stop_grad_tol`` (status ``stalled-critical`` — first-order
     criticality says nothing about optimality; hand the result to the
-    analyzer), when the step budget runs out, or when the line search
-    cannot find any decrease.  The recorded loss sequence is
+    analyzer), when an accepted step leaves the loss bit-identical
+    (``precision-limited``), when the step budget runs out
+    (``budget-exhausted``), or when the line search cannot find any
+    decrease (``line-search-stalled``).  The recorded loss sequence is
     non-increasing by construction; a violation raises ``RuntimeError``.
 
     Ranks in the trajectory are those of the super-layer products at the

@@ -3,12 +3,15 @@
 The full-chain trainer (``harness.train_gd``) and the post-escape descent
 search (``analyze.descent_search``) both run this loop: steepest descent on
 a chosen subset of layers with Armijo backtracking, strictly monotone by
-construction, single-threaded and deterministic.  It works on plain arrays
-and takes its products from the ``network`` product core, so a step builds
-no chain objects.  The layers below the lowest active one never change, so
-their product is built once per call and heads the chain the loop works on:
-a step's products and a line-search trial's running product cover only the
-active block and the layers above it.
+construction, single-threaded and deterministic.  The first trial of each
+line search is the Barzilai–Borwein step ``sᵀs / sᵀy`` of the last accepted
+step (Barzilai & Borwein 1988), and the loop stops as soon as an accepted
+step leaves the loss bit-identical, since no later step can lower it.  It
+works on plain arrays and takes its products from the ``network`` product
+core, so a step builds no chain objects.  The layers below the lowest
+active one never change, so their product is built once per call and heads
+the chain the loop works on: a step's products and a line-search trial's
+running product cover only the active block and the layers above it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ __all__ = ["GDResult", "armijo_gd"]
 STATUS_CRITICAL = "stalled-critical"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_LINE_SEARCH = "line-search-stalled"
+STATUS_PRECISION = "precision-limited"
 
 # Armijo line search: sufficient-decrease factor, backtracking factor, first
-# trial step, growth of the carried-over step, smallest trial step.
+# trial step, growth of the carried-over step when no Barzilai–Borwein step
+# applies, smallest trial step.
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 STEP_INIT = 1.0
@@ -57,16 +62,24 @@ def armijo_gd(
     ``active_layers`` holds 1-based layer numbers; the rest stay frozen.
     A line-search trial costs one running product of the layers from the
     lowest active one up, headed by the product of the frozen layers below.
-    The accepted step size carries over between iterations (grown by
-    ``STEP_GROW`` before each line search) so the loop adapts to the local
-    scale.  A trial whose product overflows counts as a failed Armijo test.
-    ``on_state`` is invoked with ``(step, factors, loss, max_grad)`` for the
-    initial state (step 0) and after every accepted step.
+    The first trial of each line search is the Barzilai–Borwein step
+    ``sᵀs / sᵀy`` of the last accepted step.  With ``s = -t·g_prev`` and
+    ``y = g - g_prev`` that is ``t·‖g_prev‖² / (‖g_prev‖² - ⟨g_prev, g⟩)``,
+    so it needs one inner product per active layer and no stored step.
+    When that denominator is not positive (and before the first step) the
+    last accepted step grown by ``STEP_GROW`` is tried instead; trials are
+    capped at 1e12.  A trial whose product overflows counts as a failed
+    Armijo test.  ``on_state`` is invoked with
+    ``(step, factors, loss, max_grad)`` for the initial state (step 0) and
+    after every accepted step that lowered the loss.
 
     Stops with status ``stalled-critical`` when the largest active-layer
     gradient norm drops to ``stop_grad_tol``, ``budget-exhausted`` after
-    ``max_steps`` accepted steps, or ``line-search-stalled`` when no step
-    above ``MIN_STEP`` achieves the Armijo decrease.
+    ``max_steps`` accepted steps, ``line-search-stalled`` when no step above
+    ``MIN_STEP`` achieves the Armijo decrease, or ``precision-limited`` when
+    an accepted trial's loss equals the current loss to the bit (the
+    Armijo decrease is below rounding); the returned factors are then the
+    current iterate, not that trial.
     """
     if not active_layers:
         raise ValueError("active_layers must be non-empty")
@@ -83,6 +96,7 @@ def armijo_gd(
     shift = lo - 1 - len(head)
     value = loss.value(running_product(head + current[lo - 1 :]))
     t = STEP_INIT
+    last = None  # the last accepted step's gradients and their squared norm
     steps = 0
     while True:
         below, above = prefix_suffix_products(head + current[lo - 1 :])
@@ -98,7 +112,13 @@ def armijo_gd(
             status = STATUS_BUDGET
             break
         squared = sum(float(np.sum(g**2)) for g in grads.values())
-        t = min(t * STEP_GROW, 1e12)
+        first = t * STEP_GROW
+        if last is not None:
+            last_grads, last_squared = last
+            curvature = last_squared - sum(float(np.vdot(last_grads[i], grads[i])) for i in active)
+            if curvature > 0:
+                first = t * last_squared / curvature
+        t = min(first, 1e12)
         # An overflowing trial counts as a failed Armijo test, silently.
         with np.errstate(over="ignore", invalid="ignore"):
             while t >= MIN_STEP:
@@ -113,7 +133,10 @@ def armijo_gd(
             else:  # no step above MIN_STEP passed the Armijo test
                 status = STATUS_LINE_SEARCH
                 break
-        current, value = trial, trial_value
+        if trial_value == value:
+            status = STATUS_PRECISION
+            break
+        current, value, last = trial, trial_value, (grads, squared)
         steps += 1
     return GDResult(
         factors=current, loss=value, status=status, steps=steps, max_grad=max_grad

@@ -45,6 +45,7 @@ from .network import (
     partial_product,
     validate_loss_contract,
 )
+from .optim import STATUS_CRITICAL
 from .oracle import finite_diff_gradient, rrr_oracle
 from .perturb import ConstructionFailedError, escape_construction, lift_perturbation
 from .storage import (
@@ -391,7 +392,7 @@ def _section_trainer_vs_oracle(seed: int, trials: int) -> SectionResult:
             near += 1
         else:
             label = classify(trained, loss, compute_oracle_gap=False).label
-            explained += int(status == "stalled-critical" and label is not Classification.NOT_CRITICAL)
+            explained += int(status == STATUS_CRITICAL and label is not Classification.NOT_CRITICAL)
     unexplained = trials - near - explained
     passed = unexplained == 0 and near >= int(np.ceil(0.95 * trials))
     return SectionResult(

@@ -36,6 +36,7 @@ from dln_landscape.network import (
     chain_loss,
     end_to_end,
 )
+from dln_landscape.optim import STATUS_CRITICAL
 from dln_landscape.oracle import rrr_oracle
 from dln_landscape.perturb import RankOnePerturbation, apply_family, kernel_family
 from dln_landscape.storage import load_matrix_csv, save_matrix_csv
@@ -255,7 +256,7 @@ def test_acceptance_6_gradient_descent_reaches_the_oracle():
         trained, loss, status, final, oracle, is_near = run
         worst_rel = max(worst_rel, (final - oracle) / (1.0 + abs(oracle)))
         near += is_near
-        if status == "stalled-critical" and final > oracle + 1e-3 * (1.0 + abs(oracle)):
+        if status == STATUS_CRITICAL and final > oracle + 1e-3 * (1.0 + abs(oracle)):
             label = classify(trained, loss, compute_oracle_gap=False).label
             if label not in (
                 Classification.ESCAPABLE_PLATEAU,

@@ -226,7 +226,8 @@ class TestTrain:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] in (
-            "stalled-critical", "budget-exhausted", "line-search-stalled"
+            "stalled-critical", "budget-exhausted", "line-search-stalled",
+            "precision-limited",
         )
         points = load_trajectory_csv(traj_file)
         assert points[0].step == 0

@@ -266,7 +266,9 @@ class TestTrainGDGuards:
     def test_overflowing_trial_fails_armijo_instead_of_raising(self):
         inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=1, data_scale=1e80))
         trained, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=20))
-        assert trajectory.status in ("line-search-stalled", "budget-exhausted")
+        assert trajectory.status in (
+            "line-search-stalled", "budget-exhausted", "precision-limited"
+        )
         assert all(np.isfinite(p.loss) for p in trajectory.points)
         assert chain_loss(trained, inst.loss) == trajectory.final.loss
 

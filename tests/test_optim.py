@@ -1,5 +1,5 @@
 """``optim.armijo_gd`` against the loop that rebuilds every product through
-the whole chain, and the work it does per step.
+the whole chain, the work it does per step, its step rule and its stops.
 
 The descent multiplies the frozen layers below the lowest active one once
 and runs each step on the shorter chain that this product heads.  Because
@@ -13,7 +13,14 @@ import pytest
 from dln_landscape import optim
 from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import InstanceSpec, TrainConfig, gen_instance, train_gd
-from dln_landscape.network import prefix_suffix_products, running_product
+from dln_landscape.network import (
+    FactorChain,
+    QuadraticLoss,
+    chain_loss,
+    layer_gradients,
+    prefix_suffix_products,
+    running_product,
+)
 from dln_landscape.optim import (
     ARMIJO_C,
     BACKTRACK,
@@ -21,6 +28,7 @@ from dln_landscape.optim import (
     STATUS_BUDGET,
     STATUS_CRITICAL,
     STATUS_LINE_SEARCH,
+    STATUS_PRECISION,
     STEP_GROW,
     STEP_INIT,
     armijo_gd,
@@ -32,11 +40,13 @@ STOP_GRAD_TOL = 1e-8
 
 def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
     """Reference descent: every step's prefix and suffix products and every
-    trial's product run over all layers, the frozen ones included."""
+    trial's product run over all layers, the frozen ones included.  Same step
+    rule (Barzilai–Borwein first trial, else doubling) and the same stops."""
     active = sorted(set(int(i) for i in active_layers))
     current = [np.array(m, dtype=np.float64) for m in factors]
     value = loss.value(running_product(current))
     t = STEP_INIT
+    last = None
     steps = 0
     while True:
         below, above = prefix_suffix_products(current)
@@ -50,7 +60,13 @@ def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
             status = STATUS_BUDGET
             break
         squared = sum(float(np.sum(g**2)) for g in grads.values())
-        t = min(t * STEP_GROW, 1e12)
+        first = t * STEP_GROW
+        if last is not None:
+            last_grads, last_squared = last
+            curvature = last_squared - sum(float(np.vdot(last_grads[i], grads[i])) for i in active)
+            if curvature > 0:
+                first = t * last_squared / curvature
+        t = min(first, 1e12)
         with np.errstate(over="ignore", invalid="ignore"):
             while t >= MIN_STEP:
                 trial = list(current)
@@ -64,7 +80,10 @@ def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
             else:
                 status = STATUS_LINE_SEARCH
                 break
-        current, value = trial, trial_value
+        if trial_value == value:
+            status = STATUS_PRECISION
+            break
+        current, value, last = trial, trial_value, (grads, squared)
         steps += 1
     return current, value, status, steps, max_grad
 
@@ -152,3 +171,81 @@ def test_products_skip_the_frozen_layers_below(monkeypatch):
     assert head == lo - 1
     assert rest and set(rest) == {block}
     assert set(lengths["prefix_suffix"]) == {block}
+
+
+def _recorded_descent(factors, loss, active, max_steps):
+    """``armijo_gd`` at ``stop_grad_tol = 0`` with every ``on_state`` call kept."""
+    states = []
+
+    def on_state(step, current, value, max_grad):
+        states.append((step, [m.copy() for m in current], value))
+
+    return armijo_gd(factors, loss, active, max_steps, 0.0, on_state=on_state), states
+
+
+@pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+def test_precision_stop_returns_the_last_accepted_iterate(loss_kind):
+    inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=2))
+    result, states = _recorded_descent(inst.chain.factors, inst.loss, range(1, 5), 10_000)
+    assert result.status == STATUS_PRECISION
+    assert 0 < result.steps < 10_000
+    assert [step for step, _, _ in states] == list(range(result.steps + 1))
+    # Every accepted step that was kept lowered the loss.
+    values = [value for _, _, value in states]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    _, factors, value = states[-1]
+    assert result.loss == value == chain_loss(FactorChain(tuple(result.factors)), inst.loss)
+    for got, want in zip(result.factors, factors):
+        assert got.tobytes() == want.tobytes()
+    # The same iterate is where a run with exactly that many steps ends.
+    budgeted = armijo_gd(inst.chain.factors, inst.loss, range(1, 5), result.steps, 0.0)
+    assert budgeted.status == STATUS_BUDGET
+    for got, want in zip(result.factors, budgeted.factors):
+        assert got.tobytes() == want.tobytes()
+
+
+def _steps_taken(states, loss):
+    """The flattened gradient at each recorded iterate and the step size
+    ``t_k`` that led from iterate ``k`` to ``k + 1``, read off the iterates."""
+    flat = [
+        np.concatenate([g.ravel() for g in layer_gradients(FactorChain(tuple(f)), loss)])
+        for _, f, _ in states
+    ]
+    taken = [
+        float(np.vdot(np.concatenate([(x - y).ravel() for x, y in zip(a, b)]), g) / np.vdot(g, g))
+        for (_, a, _), (_, b, _), g in zip(states, states[1:], flat)
+    ]
+    return flat, taken
+
+
+def test_negative_curvature_falls_back_to_doubling():
+    # Near the saddle of (ab - 1)^2 at the origin the gradient grows along
+    # the step: <g_prev, g> >= |g_prev|^2, so sᵀy <= 0 and Barzilai–Borwein
+    # does not apply.  Each first trial is the last step doubled and passes.
+    loss = QuadraticLoss(np.array([[1.0]]), np.array([[1.0]]))
+    start = [np.array([[1e-3]]), np.array([[1e-3]])]
+    result, states = _recorded_descent(start, loss, [1, 2], 3)
+    assert (result.status, result.steps) == (STATUS_BUDGET, 3)
+    grads, taken = _steps_taken(states, loss)
+    for g_prev, g in zip(grads, grads[1:]):
+        assert np.vdot(g_prev, g) >= np.vdot(g_prev, g_prev)
+    assert taken == pytest.approx([STEP_INIT * STEP_GROW * 2**j for j in range(3)], rel=1e-12)
+
+
+def test_first_trial_is_the_barzilai_borwein_step():
+    # Each taken step must be the rule's first trial halved j >= 0 times;
+    # the first trial is t_prev·|g_prev|² / (|g_prev|² - <g_prev, g>) when
+    # that denominator is positive and STEP_GROW·t_prev otherwise.
+    inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=0))
+    result, states = _recorded_descent(inst.chain.factors, inst.loss, range(1, 5), 8)
+    assert result.steps == 8
+    grads, taken = _steps_taken(states, inst.loss)
+    used_bb = 0
+    for k in range(1, len(taken)):
+        squared = float(np.vdot(grads[k - 1], grads[k - 1]))
+        curvature = squared - float(np.vdot(grads[k - 1], grads[k]))
+        first = taken[k - 1] * (squared / curvature if curvature > 0 else STEP_GROW)
+        used_bb += curvature > 0
+        halvings = np.log(taken[k] / first) / np.log(BACKTRACK)
+        assert halvings == pytest.approx(round(halvings), abs=1e-6) and round(halvings) >= 0
+    assert used_bb > 0

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ import dln_landscape.network
 import dln_landscape.verify as verify_module
 from dln_landscape.analyze import Classification, DescentNotFoundError, classify
 from dln_landscape.cli import main
+from dln_landscape.harness import Trajectory
 from dln_landscape.network import chain_loss, layer_gradients
+from dln_landscape.optim import STATUS_CRITICAL, STATUS_PRECISION
 from dln_landscape.perturb import ConstructionFailedError
 from dln_landscape.verify import (
     _section_escape_and_descent,
     _section_product_invariance,
+    _section_trainer_vs_oracle,
     canonical_plateau,
     render_verify_json,
     render_verify_text,
@@ -121,6 +126,38 @@ class TestSectionRobustness:
         section = _section_product_invariance(seed, 4)
         assert section.passed, section.detail
         assert section.checks == 12
+
+    @pytest.mark.parametrize(
+        "seed",
+        (4282013476452249856, 7690692479661979584, 4947962726942478956, 537035798592168015),
+    )
+    def test_slow_descent_seeds_reach_the_oracle(self, seed):
+        # One of the four runs of each seed was still descending after 4000
+        # doubling-first Armijo steps; Barzilai–Borwein first trials reach
+        # the oracle well inside that budget.
+        section = _section_trainer_vs_oracle(seed, 4)
+        assert section.passed, section.detail
+
+    @pytest.mark.parametrize(
+        "status, explained", ((STATUS_CRITICAL, 2), (STATUS_PRECISION, 0))
+    )
+    def test_only_a_critical_stall_explains_a_missed_oracle(self, monkeypatch, status, explained):
+        # Every run stops at its start, far above the oracle, at a point the
+        # analyzer calls critical: only a stalled-critical stop explains that.
+        def stopped(chain, loss, config):
+            return chain, Trajectory((), status)
+
+        def critical(chain, loss, compute_oracle_gap):
+            return SimpleNamespace(label=Classification.ESCAPABLE_PLATEAU)
+
+        monkeypatch.setattr(verify_module, "train_gd", stopped)
+        monkeypatch.setattr(verify_module, "classify", critical)
+        section = _section_trainer_vs_oracle(7, 2)
+        assert section.passed is False
+        assert section.detail == (
+            f"0 of 2 runs matched the closed-form oracle to 1e-5 relative; "
+            f"{explained} stalled at a classified critical point; {2 - explained} unexplained"
+        )
 
     def test_failed_descent_search_fails_its_sections_with_a_full_report(self, monkeypatch, capsys):
         def no_descent(*args, **kwargs):
