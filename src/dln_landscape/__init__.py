@@ -5,180 +5,12 @@ end-to-end product, locate interior bottlenecks, classify critical points,
 and escape rank-deficient plateaus with loss-preserving rank-one
 perturbations.  Everything is deterministic given a seed, and every claimed
 optimum is checkable against a closed-form oracle.
-"""
 
-from .analyze import (
-    Classification,
-    CriticalPointReport,
-    DescentNotFoundError,
-    WrongClassificationError,
-    classify,
-    descent_search,
-    global_certificate,
-    super_gradients,
-    two_layer_reduction,
-)
-from .harness import (
-    CONSTRUCTIONS,
-    LOSS_KINDS,
-    InfeasibleConstructionError,
-    Instance,
-    InstanceSpec,
-    TrainConfig,
-    Trajectory,
-    TrajectoryPoint,
-    gen_instance,
-    regenerate,
-    stream,
-    train_gd,
-)
-from .linalg import (
-    FullColumnRankError,
-    RankDeficientLiftError,
-    Tolerances,
-    best_rank_approx,
-    kernel_vector,
-    min_norm_right_solve,
-    numerical_rank,
-)
-from .network import (
-    BottleneckSplit,
-    ConvexLoss,
-    DimensionSignature,
-    FactorChain,
-    LogCoshLoss,
-    LossContractViolation,
-    NoInteriorBottleneckError,
-    QuadraticLoss,
-    ShapeMismatchError,
-    TransposedLoss,
-    bottleneck_split,
-    chain_loss,
-    end_to_end,
-    layer_gradients,
-    make_split,
-    partial_product,
-    validate_loss_contract,
-)
-from .optim import (
-    STATUS_BUDGET,
-    STATUS_CRITICAL,
-    STATUS_LINE_SEARCH,
-    STATUS_PRECISION,
-    GDResult,
-    armijo_gd,
-)
-from .oracle import (
-    ReducedRankFit,
-    finite_diff_gradient,
-    rrr_oracle,
-)
-from .perturb import (
-    ConstructionFailedError,
-    EscapeCertificate,
-    FullRankAboveError,
-    GradientVanishesError,
-    RankOnePerturbation,
-    apply_family,
-    default_delta,
-    escape_construction,
-    escape_construction_mirrored,
-    kernel_family,
-    lift_perturbation,
-    reversed_chain,
-    subspace_membership,
-)
-from .storage import (
-    load_chain,
-    load_instance,
-    load_matrix_csv,
-    load_trajectory_csv,
-    save_certificate,
-    save_instance,
-    save_matrix_csv,
-    save_trajectory_csv,
-)
-from .verify import canonical_plateau, verify_suite
+Each name has one import path, its module (``dln_landscape.analyze``,
+``dln_landscape.harness``, ...), whose ``__all__`` lists it; the package
+root exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "CriticalPointReport",
-    "DescentNotFoundError",
-    "WrongClassificationError",
-    "classify",
-    "descent_search",
-    "global_certificate",
-    "super_gradients",
-    "two_layer_reduction",
-    "CONSTRUCTIONS",
-    "LOSS_KINDS",
-    "InfeasibleConstructionError",
-    "Instance",
-    "InstanceSpec",
-    "TrainConfig",
-    "Trajectory",
-    "TrajectoryPoint",
-    "gen_instance",
-    "regenerate",
-    "stream",
-    "train_gd",
-    "FullColumnRankError",
-    "RankDeficientLiftError",
-    "Tolerances",
-    "best_rank_approx",
-    "kernel_vector",
-    "min_norm_right_solve",
-    "numerical_rank",
-    "BottleneckSplit",
-    "ConvexLoss",
-    "DimensionSignature",
-    "FactorChain",
-    "LogCoshLoss",
-    "LossContractViolation",
-    "NoInteriorBottleneckError",
-    "QuadraticLoss",
-    "ShapeMismatchError",
-    "TransposedLoss",
-    "bottleneck_split",
-    "chain_loss",
-    "end_to_end",
-    "layer_gradients",
-    "make_split",
-    "partial_product",
-    "validate_loss_contract",
-    "STATUS_BUDGET",
-    "STATUS_CRITICAL",
-    "STATUS_LINE_SEARCH",
-    "STATUS_PRECISION",
-    "GDResult",
-    "armijo_gd",
-    "ReducedRankFit",
-    "finite_diff_gradient",
-    "rrr_oracle",
-    "ConstructionFailedError",
-    "EscapeCertificate",
-    "FullRankAboveError",
-    "GradientVanishesError",
-    "RankOnePerturbation",
-    "apply_family",
-    "default_delta",
-    "escape_construction",
-    "escape_construction_mirrored",
-    "kernel_family",
-    "lift_perturbation",
-    "reversed_chain",
-    "subspace_membership",
-    "load_chain",
-    "load_instance",
-    "load_matrix_csv",
-    "load_trajectory_csv",
-    "save_certificate",
-    "save_instance",
-    "save_matrix_csv",
-    "save_trajectory_csv",
-    "canonical_plateau",
-    "verify_suite",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -131,7 +131,6 @@ def classify(
     loss: ConvexLoss,
     tols: Tolerances = Tolerances(),
     delta: float | None = None,
-    compute_oracle_gap: bool = True,
 ) -> CriticalPointReport:
     """Produce a full first-order report for a chain.
 
@@ -165,7 +164,7 @@ def classify(
         sg_below = float(np.linalg.norm(below_grad))
 
     oracle_gap = None
-    if compute_oracle_gap and isinstance(loss, QuadraticLoss):
+    if isinstance(loss, QuadraticLoss):
         fit = rrr_oracle(loss.inputs, loss.targets, chain.dims.min_width, tols.rank_tol)
         oracle_gap = value - fit.loss
 

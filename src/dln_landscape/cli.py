@@ -29,13 +29,13 @@ from .analyze import (
 from .harness import (
     CONSTRUCTIONS,
     LOSS_KINDS,
+    TRAIN_MAX_STEPS,
     InfeasibleConstructionError,
     InstanceSpec,
-    TrainConfig,
     gen_instance,
     train_gd,
 )
-from .linalg import RankDeficientLiftError, Tolerances
+from .linalg import DEFAULT_GRAD_TOL, RankDeficientLiftError, Tolerances
 from .network import NoInteriorBottleneckError, QuadraticLoss, chain_loss, split_or_raise
 from .oracle import rrr_oracle
 from .perturb import (
@@ -199,8 +199,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
     chain, loss, _ = load_instance(args.instance)
-    report = classify(chain, loss, tols=_tols(args), delta=args.delta,
-                      compute_oracle_gap=False)
+    report = classify(chain, loss, tols=_tols(args), delta=args.delta)
     if report.label is not Classification.ESCAPABLE_PLATEAU or report.escape is None:
         raise ConstructionFailedError(
             f"no loss-preserving escape exists here: the point classifies as "
@@ -239,9 +238,10 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     rank_tol = _rank_tol(args)
-    config = TrainConfig(max_steps=args.max_steps, stop_grad_tol=args.stop_grad_tol)
     chain, loss, _ = load_instance(args.instance)
-    trained, trajectory = train_gd(chain, loss, config=config, rank_tol=rank_tol)
+    trained, trajectory = train_gd(
+        chain, loss, max_steps=args.max_steps, stop_grad_tol=args.stop_grad_tol, rank_tol=rank_tol
+    )
     if args.out:
         save_trajectory_csv(args.out, trajectory)
     if args.final_dir:
@@ -343,8 +343,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="full-chain gradient descent with trajectory")
     p.add_argument("instance", help="instance directory")
-    p.add_argument("--max-steps", type=int, default=TrainConfig().max_steps)
-    p.add_argument("--stop-grad-tol", type=float, default=TrainConfig().stop_grad_tol)
+    p.add_argument("--max-steps", type=int, default=TRAIN_MAX_STEPS)
+    p.add_argument("--stop-grad-tol", type=float, default=DEFAULT_GRAD_TOL)
     p.add_argument("--out", default=None, help="CSV file for the trajectory")
     p.add_argument("--final-dir", default=None,
                    help="directory for the trained chain as a new instance")

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import Tolerances, numerical_rank
+from .linalg import DEFAULT_GRAD_TOL, Tolerances, numerical_rank
 from .network import (
     ConvexLoss,
     FactorChain,
@@ -54,7 +54,7 @@ __all__ = [
     "InfeasibleConstructionError",
     "InstanceSpec",
     "Instance",
-    "TrainConfig",
+    "TRAIN_MAX_STEPS",
     "TrajectoryPoint",
     "Trajectory",
     "stream",
@@ -77,6 +77,9 @@ STREAM_FACTORS = 0  # (STREAM_FACTORS, layer) -> entries of that layer
 STREAM_DATA = 1  # (STREAM_DATA, 0) inputs, (STREAM_DATA, 1) targets, (STREAM_DATA, 2) plant
 STREAM_MIXERS = 2  # (STREAM_MIXERS, width_index) -> orthogonal mixers
 STREAM_CHOICE = 3  # (STREAM_CHOICE, 0) -> discrete construction choices
+
+# Step budget of a full-chain training run when the caller names none.
+TRAIN_MAX_STEPS = 2000
 
 
 class InfeasibleConstructionError(ValueError):
@@ -121,12 +124,10 @@ class InstanceSpec:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
+        if self.n_samples is not None and self.loss_kind != "quadratic":
+            raise ValueError(f"n_samples is for the quadratic loss only, not {self.loss_kind!r}")
         if not (self.data_scale > 0 and np.isfinite(self.data_scale)):
             raise ValueError(f"data_scale must be positive and finite, got {self.data_scale}")
-
-    @property
-    def signature(self) -> DimensionSignature:
-        return DimensionSignature(self.dims)
 
     @property
     def effective_n(self) -> int:
@@ -220,7 +221,7 @@ def _factor_through(
 
 
 def _require_bottleneck(spec: InstanceSpec) -> int:
-    j = spec.signature.interior_bottleneck()
+    j = DimensionSignature(spec.dims).interior_bottleneck()
     if j is None:
         raise InfeasibleConstructionError(
             f"construction {spec.construction!r} needs an interior "
@@ -242,8 +243,10 @@ def _rank_factorization(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarra
     return left, right
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gen_instance(spec: InstanceSpec) -> Instance:
-    """Build the chain and loss described by ``spec`` (bitwise reproducible)."""
+    """Build the chain and loss described by ``spec`` (bitwise reproducible).
+    Data scaled past the float range overflows silently; ``storage`` refuses it."""
     widths = spec.dims
     k = len(widths) - 1
     loss = _make_loss(spec)
@@ -315,22 +318,6 @@ def gen_instance(spec: InstanceSpec) -> Instance:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Full-chain gradient descent settings (all deterministic)."""
-
-    max_steps: int = 2000
-    stop_grad_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
-        if not (self.stop_grad_tol >= 0.0 and np.isfinite(self.stop_grad_tol)):
-            raise ValueError(
-                f"stop_grad_tol must be non-negative and finite, got {self.stop_grad_tol!r}"
-            )
-
-
-@dataclass(frozen=True)
 class TrajectoryPoint:
     step: int
     loss: float
@@ -352,21 +339,26 @@ class Trajectory:
 def train_gd(
     chain: FactorChain,
     loss: ConvexLoss,
-    config: TrainConfig = TrainConfig(),
+    max_steps: int = TRAIN_MAX_STEPS,
+    stop_grad_tol: float = DEFAULT_GRAD_TOL,
     rank_tol: float = Tolerances().rank_tol,
 ) -> tuple[FactorChain, Trajectory]:
     """Backtracking gradient descent on every layer, with a full trajectory.
 
-    Runs ``optim.armijo_gd``: each line search starts from the
-    Barzilai–Borwein step of the last accepted step and halves it until the
-    Armijo test passes.  Stops when the largest layer-gradient norm reaches
-    ``config.stop_grad_tol`` (status ``stalled-critical`` — first-order
-    criticality says nothing about optimality; hand the result to the
-    analyzer), when an accepted step leaves the loss bit-identical
-    (``precision-limited``), when the step budget runs out
-    (``budget-exhausted``), or when the line search cannot find any
-    decrease (``line-search-stalled``).  The recorded loss sequence is
-    non-increasing by construction; a violation raises ``RuntimeError``.
+    ``train_gd(chain, loss, max_steps=TRAIN_MAX_STEPS, stop_grad_tol=
+    DEFAULT_GRAD_TOL, rank_tol=DEFAULT_RANK_TOL)`` returns the trained chain
+    and its trajectory.  Runs ``optim.armijo_gd``, which rejects a negative
+    ``max_steps`` and a negative or non-finite ``stop_grad_tol``; each line
+    search starts from the Barzilai–Borwein step of the last accepted step
+    and halves it until the Armijo test passes.  Stops when the largest
+    layer-gradient norm reaches ``stop_grad_tol`` (status
+    ``stalled-critical`` — first-order criticality says nothing about
+    optimality; hand the result to the analyzer), when an accepted step
+    leaves the loss bit-identical (``precision-limited``), when the step
+    budget runs out (``budget-exhausted``), or when the line search cannot
+    find any decrease (``line-search-stalled``).  The recorded loss
+    sequence is non-increasing by construction; a violation raises
+    ``RuntimeError``.
 
     Ranks in the trajectory are those of the super-layer products at the
     canonical bottleneck cut; chains without an interior bottleneck record
@@ -388,8 +380,8 @@ def train_gd(
         factors=chain.factors,
         loss=loss,
         active_layers=list(range(1, k + 1)),
-        max_steps=config.max_steps,
-        stop_grad_tol=config.stop_grad_tol,
+        max_steps=max_steps,
+        stop_grad_tol=stop_grad_tol,
         on_state=record,
     )
     for a, b in zip(points, points[1:]):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_GRAD_TOL",
+    "DEFAULT_INVARIANCE_TOL",
     "Tolerances",
     "FullColumnRankError",
     "RankDeficientLiftError",

@@ -91,9 +91,6 @@ class DimensionSignature:
                 return j
         return None
 
-    def reversed(self) -> "DimensionSignature":
-        return DimensionSignature(self.widths[::-1])
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
@@ -199,10 +196,6 @@ class QuadraticLoss(ConvexLoss):
             )
         self.out_rows = self.targets.shape[0]
         self.in_cols = self.inputs.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.inputs.shape[1]
 
     def value(self, w: np.ndarray) -> float:
         w = self._check_shape(w)
@@ -326,6 +319,20 @@ def _check_loss_shape(chain: FactorChain, loss: ConvexLoss) -> None:
             f"loss expects product shape {(loss.out_rows, loss.in_cols)} but "
             f"chain produces {(widths[-1], widths[0])}"
         )
+
+
+def _check_finite_loss(chain: FactorChain, loss: ConvexLoss) -> None:
+    """Refuse a chain whose loss or convex gradient at the end-to-end product
+    is not finite: every analysis of it would run on inf and NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = end_to_end(chain)
+        finite = (
+            np.all(np.isfinite(product))
+            and np.isfinite(loss.value(product))
+            and np.all(np.isfinite(loss.gradient(product)))
+        )
+    if not finite:
+        raise ValueError("the loss or its gradient at the end-to-end product overflows")
 
 
 def layer_gradients(chain: FactorChain, loss: ConvexLoss) -> list[np.ndarray]:

@@ -23,7 +23,14 @@ import numpy as np
 
 from .network import ConvexLoss, prefix_suffix_products, running_product
 
-__all__ = ["GDResult", "armijo_gd"]
+__all__ = [
+    "GDResult",
+    "armijo_gd",
+    "STATUS_CRITICAL",
+    "STATUS_BUDGET",
+    "STATUS_LINE_SEARCH",
+    "STATUS_PRECISION",
+]
 
 STATUS_CRITICAL = "stalled-critical"
 STATUS_BUDGET = "budget-exhausted"
@@ -79,8 +86,13 @@ def armijo_gd(
     ``MIN_STEP`` achieves the Armijo decrease, or ``precision-limited`` when
     an accepted trial's loss equals the current loss to the bit (the
     Armijo decrease is below rounding); the returned factors are then the
-    current iterate, not that trial.
+    current iterate, not that trial.  A negative ``max_steps`` or a
+    negative or non-finite ``stop_grad_tol`` raises ``ValueError``.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    if not (stop_grad_tol >= 0.0 and np.isfinite(stop_grad_tol)):
+        raise ValueError(f"stop_grad_tol must be non-negative and finite, got {stop_grad_tol!r}")
     if not active_layers:
         raise ValueError("active_layers must be non-empty")
     active = sorted(set(int(i) for i in active_layers))

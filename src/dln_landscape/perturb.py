@@ -34,7 +34,7 @@ from .network import (
     ConvexLoss,
     FactorChain,
     TransposedLoss,
-    chain_loss,
+    end_to_end,
     make_split,
     partial_product,
     prefix_suffix_products,
@@ -70,9 +70,11 @@ class FullRankAboveError(ValueError):
 class ConstructionFailedError(RuntimeError):
     """The escape construction could not produce a valid certificate.
 
-    Carries a ``diagnostics`` dict; this is only expected under tolerance
-    misconfiguration or pathological conditioning, never on the instances
-    the harness constructs.
+    Carries a ``diagnostics`` dict.  Raised under tolerance misconfiguration,
+    pathological conditioning, a ``delta`` at which the perturbed chain
+    overflows, or data far off the unit scale: the gradient floor is absolute,
+    so the harness's ``rank_deficient_plateau`` ``(3, 4, 2, 4, 3)`` instance
+    at seed 1 and ``data_scale=1e-9`` raises it.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None) -> None:
@@ -201,6 +203,7 @@ def _row_scores(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, image / safe, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def escape_construction(
     chain: FactorChain,
     loss: ConvexLoss,
@@ -224,7 +227,8 @@ def escape_construction(
 
     Raises :class:`GradientVanishesError` (global minimum — nothing to do),
     :class:`FullRankAboveError` (use the mirrored entry point or accept the
-    two-layer reduction), or :class:`ConstructionFailedError`.
+    two-layer reduction), or :class:`ConstructionFailedError` (also when a
+    witness score, super-layer gradient or loss change is inf or NaN).
     """
     split = split_or_raise(chain, split)
     below, _ = prefix_suffix_products(chain.factors)
@@ -302,7 +306,8 @@ def escape_construction(
     witness_row = int(np.argmax(scores))
     super_gradient_norm = float(np.linalg.norm(grad @ below_tilde.T))
     original_loss = loss.value(product)
-    loss_delta = chain_loss(perturbed, loss) - original_loss
+    moved = end_to_end(perturbed)
+    loss_delta = (loss.value(moved) if np.all(np.isfinite(moved)) else np.inf) - original_loss
 
     diagnostics = {
         "witness_score": float(scores[witness_row]),
@@ -312,6 +317,8 @@ def escape_construction(
         "containment_start": containment_start,
         "delta": float(delta),
     }
+    if not np.all(np.isfinite([scores[witness_row], super_gradient_norm, loss_delta])):
+        raise ConstructionFailedError(f"perturbed chain overflows at delta {delta:g}", diagnostics)
     if scores[witness_row] <= member_threshold:
         raise ConstructionFailedError(
             "no row of the perturbed lower product escapes the gradient null "

@@ -4,7 +4,8 @@ Matrices are written in decimal with 17 significant digits, which
 round-trips IEEE-754 doubles exactly — reading a file back yields bitwise
 the entries that were written.  Manifests are JSON with sorted keys and a
 fixed layout, so identical objects serialize to identical bytes.  Non-finite
-values are rejected on both paths.
+values, and instances whose loss or convex gradient is not finite, are
+rejected on both paths, before anything is written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .analyze import Classification, CriticalPointReport
 from .harness import Trajectory, TrajectoryPoint
-from .network import ConvexLoss, FactorChain, LogCoshLoss, QuadraticLoss
+from .network import ConvexLoss, FactorChain, LogCoshLoss, QuadraticLoss, _check_finite_loss
 from .perturb import EscapeCertificate
 
 __all__ = [
@@ -109,6 +110,7 @@ def save_instance(
     provenance: dict | None = None,
 ) -> Path:
     """Write chain + loss data + manifest into ``directory`` (created)."""
+    _check_finite_loss(chain, loss)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = _factor_files(chain)
@@ -180,6 +182,7 @@ def load_instance(directory) -> tuple[FactorChain, ConvexLoss, dict]:
         loss = LogCoshLoss(matrix("target"))
     else:
         raise ValueError(f"unknown loss kind {kind!r} in {directory}")
+    _check_finite_loss(chain, loss)
     return chain, loss, manifest
 
 

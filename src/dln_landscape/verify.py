@@ -27,13 +27,7 @@ import numpy as np
 
 from . import network
 from .analyze import Classification, DescentNotFoundError, classify, descent_search
-from .harness import (
-    InstanceSpec,
-    TrainConfig,
-    gen_instance,
-    stream,
-    train_gd,
-)
+from .harness import InstanceSpec, gen_instance, stream, train_gd
 from .linalg import DEFAULT_INVARIANCE_TOL
 from .network import (
     FactorChain,
@@ -247,7 +241,7 @@ def _escape_and_descend(problems, budget: int):
     for chain, loss in problems:
         report = after = error = None
         try:
-            report = classify(chain, loss, compute_oracle_gap=False)
+            report = classify(chain, loss)
             if report.label is Classification.ESCAPABLE_PLATEAU:
                 after = chain_loss(descent_search(chain, loss, report, budget=budget), loss)
         except (ConstructionFailedError, DescentNotFoundError) as exc:
@@ -370,28 +364,28 @@ def _section_lift_exactness(seed: int, trials: int) -> SectionResult:
     )
 
 
-def _oracle_runs(seeds, dims, config: TrainConfig):
+def _oracle_runs(seeds):
     """Yield ``(trained chain, loss, status, final loss, oracle loss, near)``
-    per seed: full-chain descent on a generated instance next to the
-    closed-form optimum, ``near`` within 1e-5 relative of it."""
+    per seed: full-chain descent (4000 steps at most) on a generated
+    ``_TRAINER_DIMS`` instance next to the closed-form optimum, ``near``
+    within 1e-5 relative of it."""
     for inst_seed in seeds:
-        inst = gen_instance(InstanceSpec(dims=dims, seed=inst_seed))
+        inst = gen_instance(InstanceSpec(dims=_TRAINER_DIMS, seed=inst_seed))
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, inst.chain.dims.min_width)
-        trained, trajectory = train_gd(inst.chain, inst.loss, config=config)
+        trained, trajectory = train_gd(inst.chain, inst.loss, max_steps=4000)
         final = chain_loss(trained, inst.loss)
         near = final <= fit.loss + 1e-5 * (1.0 + abs(fit.loss))
         yield trained, inst.loss, trajectory.status, final, fit.loss, near
 
 
 def _section_trainer_vs_oracle(seed: int, trials: int) -> SectionResult:
-    config = TrainConfig(max_steps=4000, stop_grad_tol=1e-8)
-    runs = _oracle_runs(_instance_seeds(seed, 7, trials), _TRAINER_DIMS, config)
+    runs = _oracle_runs(_instance_seeds(seed, 7, trials))
     near = explained = 0
     for trained, loss, status, _, _, is_near in runs:
         if is_near:
             near += 1
         else:
-            label = classify(trained, loss, compute_oracle_gap=False).label
+            label = classify(trained, loss).label
             explained += int(status == STATUS_CRITICAL and label is not Classification.NOT_CRITICAL)
     unexplained = trials - near - explained
     passed = unexplained == 0 and near >= int(np.ceil(0.95 * trials))
@@ -410,7 +404,6 @@ def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
     checks = 0
     worst = 0.0
     seeds = _instance_seeds(seed, 8, trials)
-    config = TrainConfig(max_steps=3000, stop_grad_tol=1e-9)
     restarts = 8
     for t, inst_seed in enumerate(seeds):
         dims = _RESTART_TRIPLES[t % len(_RESTART_TRIPLES)]
@@ -421,7 +414,7 @@ def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
         best = np.inf
         for _ in range(restarts):
             init = gen_instance(replace(spec, seed=int(restart_rng.integers(0, 2**63)))).chain
-            trained, _ = train_gd(init, inst.loss, config=config)
+            trained, _ = train_gd(init, inst.loss, max_steps=3000, stop_grad_tol=1e-9)
             best = min(best, chain_loss(trained, inst.loss))
         gap = abs(best - fit.loss) / (1.0 + abs(fit.loss))
         worst = max(worst, gap)
@@ -473,7 +466,7 @@ def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
         checks += 1
 
         inst = gen_instance(spec)
-        _, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=3))
+        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=3)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             save_trajectory_csv(path, trajectory)

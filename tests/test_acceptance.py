@@ -24,7 +24,6 @@ import dln_landscape
 from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import (
     InstanceSpec,
-    TrainConfig,
     gen_instance,
     stream,
     train_gd,
@@ -246,18 +245,17 @@ def test_acceptance_5_boundary_layer_lift_is_exact():
 
 def test_acceptance_6_gradient_descent_reaches_the_oracle():
     started = time.perf_counter()
-    config = TrainConfig(max_steps=4000, stop_grad_tol=1e-8)
     runs = 200
     seeds = [40000 + i for i in range(runs)]
     near = 0
     unexplained = []
     worst_rel = 0.0
-    for i, run in enumerate(_oracle_runs(seeds, (3, 4, 2, 4, 3), config)):
+    for i, run in enumerate(_oracle_runs(seeds)):
         trained, loss, status, final, oracle, is_near = run
         worst_rel = max(worst_rel, (final - oracle) / (1.0 + abs(oracle)))
         near += is_near
         if status == STATUS_CRITICAL and final > oracle + 1e-3 * (1.0 + abs(oracle)):
-            label = classify(trained, loss, compute_oracle_gap=False).label
+            label = classify(trained, loss).label
             if label not in (
                 Classification.ESCAPABLE_PLATEAU,
                 Classification.REDUCIBLE_FULL_RANK,
@@ -278,7 +276,6 @@ def test_acceptance_6_gradient_descent_reaches_the_oracle():
 
 
 def test_acceptance_7_oracle_agrees_with_restarted_descent():
-    config = TrainConfig(max_steps=1000, stop_grad_tol=1e-8)
     worst = 0.0
     disagreements = 0
     for t in range(20):
@@ -295,7 +292,7 @@ def test_acceptance_7_oracle_agrees_with_restarted_descent():
             inst = gen_instance(
                 InstanceSpec(dims=(d_in, width, d_out), seed=60000 + 100 * t + r)
             )
-            _, trajectory = train_gd(inst.chain, loss, config=config)
+            _, trajectory = train_gd(inst.chain, loss, max_steps=1000, stop_grad_tol=1e-8)
             best = min(best, trajectory.final.loss)
         gap = abs(best - fit.loss) / (1.0 + abs(fit.loss))
         worst = max(worst, gap)

@@ -176,6 +176,12 @@ class TestDescentSearch:
         better = descent_search(chain, loss, report, budget=500)
         assert chain_loss(better, loss) < 2.0 - 1e-3
 
+    def test_negative_budget_rejected(self):
+        chain, loss = canonical_plateau()
+        report = classify(chain, loss)
+        with pytest.raises(ValueError, match="max_steps must be non-negative, got -1"):
+            descent_search(chain, loss, report, budget=-1)
+
     def test_wrong_label_rejected(self):
         inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=10))
         report = classify(inst.chain, inst.loss)

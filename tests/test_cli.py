@@ -362,3 +362,55 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--trials", "not-a-number"])
         assert exc.value.code == 1
+
+
+def _huge(tmp_path, name, index):
+    """The seed-7 generic instance with ``index`` of matrix ``name`` set to 1e200."""
+    inst = _gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", "7")
+    m = load_matrix_csv(inst / name)
+    m[index] = 1e200
+    save_matrix_csv(inst / name, m)
+    return str(inst)
+
+
+def _plateau(tmp_path, seed):
+    return str(_gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", str(seed),
+                    "--construction", "rank_deficient_plateau"))
+
+
+_GEN = ["gen", "--dims", "3,4,2,4,3"]
+
+# case -> (exit code, argv builder); every builder names tmp_path / "out" as
+# the output, which a refused request must leave unwritten.
+_REFUSED = {
+    "analyze with 1e200 in M1": (1, lambda t: ["analyze", _huge(t, "M1.csv", (0, 0))]),
+    "train with 1e200 in M1": (
+        1, lambda t: ["train", _huge(t, "M1.csv", (0, 0)), "--out", str(t / "out")]),
+    "analyze with 1e200 in row 0 of X": (1, lambda t: ["analyze", _huge(t, "X.csv", 0)]),
+    "gen factored_global at data scale 1e200": (
+        1, lambda t: [*_GEN, "--construction", "factored_global", "--data-scale", "1e200",
+                      "--out", str(t / "out")]),
+    "gen at data scale 1e308": (
+        1, lambda t: [*_GEN, "--data-scale", "1e308", "--out", str(t / "out")]),
+    "gen logcosh with a sample count": (
+        1, lambda t: [*_GEN, "--loss", "logcosh", "--n-samples", "5", "--out", str(t / "out")]),
+    "analyze plateau at delta 1e300": (
+        3, lambda t: ["analyze", _plateau(t, 7), "--delta", "1e300"]),
+    "perturb plateau at delta 1e300": (
+        3, lambda t: ["perturb", _plateau(t, 7), "--delta", "1e300", "--out", str(t / "out")]),
+    "perturb plateau whose perturbed product overflows": (
+        3, lambda t: ["perturb", _plateau(t, 3), "--delta", "1e300", "--out", str(t / "out")]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _REFUSED)
+def test_overflow_is_refused_with_one_line(tmp_path, capsys, case):
+    code, argv = _REFUSED[case]
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()

@@ -95,8 +95,8 @@ def test_plateau_classification_is_gauge_invariant(dims, seed, pick, kind):
     q = _orthogonal(np.random.default_rng(seed), dims[layer])
     moved = _gauge(inst.chain, layer, q)
 
-    base = classify(inst.chain, inst.loss, tols=tols, compute_oracle_gap=False)
-    report = classify(moved, inst.loss, tols=tols, compute_oracle_gap=False)
+    base = classify(inst.chain, inst.loss, tols=tols)
+    report = classify(moved, inst.loss, tols=tols)
     assert base.label is Classification.ESCAPABLE_PLATEAU
     assert report.label is base.label
     assert (report.rank_above, report.rank_below) == (base.rank_above, base.rank_below)
@@ -109,9 +109,9 @@ def test_reversal_with_transposed_loss_mirrors_the_classification(dims, kinds, s
     tols = Tolerances()
     construction, kind = kinds
     inst = gen_instance(InstanceSpec(dims=dims, construction=construction, loss_kind=kind, seed=seed))
-    base = classify(inst.chain, inst.loss, tols=tols, compute_oracle_gap=False)
+    base = classify(inst.chain, inst.loss, tols=tols)
     mirrored_loss = TransposedLoss(inst.loss)
-    mirrored = classify(reversed_chain(inst.chain), mirrored_loss, tols=tols, compute_oracle_gap=False)
+    mirrored = classify(reversed_chain(inst.chain), mirrored_loss, tols=tols)
 
     assert mirrored.label is base.label
     assert abs(mirrored.loss - base.loss) <= 1e-12 * (1.0 + abs(base.loss))

@@ -12,7 +12,6 @@ from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import (
     InfeasibleConstructionError,
     InstanceSpec,
-    TrainConfig,
     gen_instance,
     regenerate,
     stream,
@@ -66,6 +65,7 @@ class TestInstanceSpec:
             {"n_samples": 0},
             {"data_scale": 0.0},
             {"data_scale": float("inf")},
+            {"loss_kind": "logcosh", "n_samples": 5},
         ],
     )
     def test_validation(self, kwargs):
@@ -231,9 +231,7 @@ class TestTrainGD:
 
     def test_loss_non_increasing_and_budget_status(self):
         inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=8))
-        trained, trajectory = train_gd(
-            inst.chain, inst.loss, config=TrainConfig(max_steps=5)
-        )
+        trained, trajectory = train_gd(inst.chain, inst.loss, max_steps=5)
         losses = [p.loss for p in trajectory.points]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -243,7 +241,7 @@ class TestTrainGD:
     def test_two_layer_run_reaches_oracle(self):
         inst = gen_instance(InstanceSpec(dims=(3, 1, 3), seed=9))
         trained, trajectory = train_gd(
-            inst.chain, inst.loss, config=TrainConfig(max_steps=3000, stop_grad_tol=1e-9)
+            inst.chain, inst.loss, max_steps=3000, stop_grad_tol=1e-9
         )
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, 1)
         final = chain_loss(trained, inst.loss)
@@ -252,12 +250,12 @@ class TestTrainGD:
 
     def test_no_bottleneck_ranks_are_sentinel(self):
         inst = gen_instance(InstanceSpec(dims=(2, 3, 2), seed=10))
-        _, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=3))
+        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=3)
         assert all(p.rank_above == -1 and p.rank_below == -1 for p in trajectory.points)
 
     def test_trajectory_ranks_at_canonical_split(self):
         inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=11))
-        _, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=3))
+        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=3)
         assert trajectory.points[0].rank_above == 2
         assert trajectory.points[0].rank_below == 2
 
@@ -265,7 +263,7 @@ class TestTrainGD:
 class TestTrainGDGuards:
     def test_overflowing_trial_fails_armijo_instead_of_raising(self):
         inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=1, data_scale=1e80))
-        trained, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=20))
+        trained, trajectory = train_gd(inst.chain, inst.loss, max_steps=20)
         assert trajectory.status in (
             "line-search-stalled", "budget-exhausted", "precision-limited"
         )
@@ -273,15 +271,17 @@ class TestTrainGDGuards:
         assert chain_loss(trained, inst.loss) == trajectory.final.loss
 
     def test_negative_max_steps_rejected(self):
-        with pytest.raises(ValueError, match="max_steps"):
-            TrainConfig(max_steps=-5)
-        assert TrainConfig(max_steps=0).max_steps == 0
+        chain, loss = canonical_plateau()
+        with pytest.raises(ValueError, match="max_steps must be non-negative, got -5"):
+            train_gd(chain, loss, max_steps=-5)
+        assert train_gd(chain, loss, max_steps=0)[1].final.step == 0
 
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0, -1e-300))
     def test_invalid_stop_grad_tol_rejected(self, value):
-        with pytest.raises(ValueError, match="stop_grad_tol"):
-            TrainConfig(stop_grad_tol=value)
-        assert TrainConfig(stop_grad_tol=0.0).stop_grad_tol == 0.0
+        chain, loss = canonical_plateau()
+        with pytest.raises(ValueError, match="stop_grad_tol must be non-negative and finite"):
+            train_gd(chain, loss, stop_grad_tol=value)
+        assert train_gd(chain, loss, stop_grad_tol=0.0)[1].status == "stalled-critical"
 
     def test_loss_increase_raises(self, monkeypatch):
         monkeypatch.setattr(dln_landscape.harness, "armijo_gd", _rising_armijo)

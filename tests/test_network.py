@@ -43,7 +43,6 @@ class TestDimensionSignature:
         sig = DimensionSignature((3, 4, 2, 4, 3))
         assert sig.k == 4
         assert sig.min_width == 2
-        assert sig.reversed().widths == (3, 4, 2, 4, 3)
 
     @pytest.mark.parametrize(
         "widths,expected",

@@ -12,7 +12,8 @@ import pytest
 
 from dln_landscape import optim
 from dln_landscape.analyze import Classification, classify
-from dln_landscape.harness import InstanceSpec, TrainConfig, gen_instance, train_gd
+from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
+from dln_landscape.linalg import DEFAULT_GRAD_TOL
 from dln_landscape.network import (
     FactorChain,
     QuadraticLoss,
@@ -96,7 +97,7 @@ def _start(dims, construction, loss_kind, seed):
     )
     if construction == "generic":
         return inst.chain, inst.loss
-    report = classify(inst.chain, inst.loss, compute_oracle_gap=False)
+    report = classify(inst.chain, inst.loss)
     assert report.label is Classification.ESCAPABLE_PLATEAU
     return report.escape.perturbed_chain, inst.loss
 
@@ -137,9 +138,9 @@ def test_matches_full_rebuild_bitwise(dims, construction, loss_kind, seed):
 @pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
 def test_train_gd_path_matches_full_rebuild_bitwise(loss_kind):
     inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=3))
-    trained, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=60))
+    trained, trajectory = train_gd(inst.chain, inst.loss, max_steps=60)
     factors, value, status, steps, max_grad = _full_rebuild_gd(
-        inst.chain.factors, inst.loss, range(1, inst.chain.k + 1), 60, TrainConfig().stop_grad_tol
+        inst.chain.factors, inst.loss, range(1, inst.chain.k + 1), 60, DEFAULT_GRAD_TOL
     )
     assert (trajectory.status, trajectory.final.step) == (status, steps)
     assert trajectory.final.loss == value and trajectory.final.max_grad == max_grad

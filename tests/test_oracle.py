@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dln_landscape.harness import InstanceSpec, TrainConfig, gen_instance, train_gd
+from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
 from dln_landscape.linalg import best_rank_approx, numerical_rank
 from dln_landscape.network import layer_gradients
 from dln_landscape.oracle import finite_diff_gradient, rrr_oracle
@@ -61,7 +61,7 @@ class TestRRROracle:
     def test_descent_does_not_beat_oracle_on_fewer_samples(self, dims, n, seed):
         inst = gen_instance(InstanceSpec(dims=dims, n_samples=n, seed=seed))
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, rank=min(dims))
-        _, trajectory = train_gd(inst.chain, inst.loss, TrainConfig(max_steps=2000))
+        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=2000)
         scale = 1.0 + float(np.sum(inst.loss.targets ** 2))
         assert trajectory.final.loss >= fit.loss - 1e-12 * scale
         assert trajectory.final.loss <= fit.loss + 1e-9 * scale

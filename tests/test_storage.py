@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dln_landscape.analyze import classify
-from dln_landscape.harness import InstanceSpec, TrainConfig, gen_instance, train_gd
+from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
 from dln_landscape.network import LogCoshLoss, QuadraticLoss
 from dln_landscape.storage import (
     TRAJECTORY_HEADER,
@@ -132,7 +132,7 @@ class TestInstanceRoundTrip:
 class TestCertificate:
     def test_metadata_block_keys(self, tmp_path):
         chain, loss = canonical_plateau()
-        report = classify(chain, loss, compute_oracle_gap=False)
+        report = classify(chain, loss)
         cert = report.escape
         meta = certificate_to_dict(cert)
         assert set(meta) == {
@@ -145,7 +145,7 @@ class TestCertificate:
 
     def test_save_and_reload_chain(self, tmp_path):
         chain, loss = canonical_plateau()
-        report = classify(chain, loss, compute_oracle_gap=False)
+        report = classify(chain, loss)
         cert = report.escape
         save_certificate(tmp_path / "cert", cert)
         manifest = json.loads(
@@ -164,7 +164,7 @@ class TestTrajectoryCSV:
 
     def test_round_trip(self, tmp_path):
         inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=5))
-        _, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=4))
+        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=4)
         p = tmp_path / "traj.csv"
         save_trajectory_csv(p, trajectory)
         first_line = p.read_text(encoding="utf-8").splitlines()[0]
@@ -185,7 +185,7 @@ class TestTrajectoryCSV:
 
     def test_sentinel_ranks_survive(self, tmp_path):
         inst = gen_instance(InstanceSpec(dims=(2, 3, 2), seed=6))
-        _, trajectory = train_gd(inst.chain, inst.loss, config=TrainConfig(max_steps=2))
+        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=2)
         p = tmp_path / "traj.csv"
         save_trajectory_csv(p, trajectory)
         points = load_trajectory_csv(p)

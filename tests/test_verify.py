@@ -144,10 +144,10 @@ class TestSectionRobustness:
     def test_only_a_critical_stall_explains_a_missed_oracle(self, monkeypatch, status, explained):
         # Every run stops at its start, far above the oracle, at a point the
         # analyzer calls critical: only a stalled-critical stop explains that.
-        def stopped(chain, loss, config):
+        def stopped(chain, loss, max_steps):
             return chain, Trajectory((), status)
 
-        def critical(chain, loss, compute_oracle_gap):
+        def critical(chain, loss):
             return SimpleNamespace(label=Classification.ESCAPABLE_PLATEAU)
 
         monkeypatch.setattr(verify_module, "train_gd", stopped)
