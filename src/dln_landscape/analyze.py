@@ -39,7 +39,7 @@ from .network import (
     QuadraticLoss,
     bottleneck_split,
     end_to_end,
-    prefix_suffix_products,
+    gradient_core,
     split_or_raise,
 )
 from .oracle import rrr_oracle
@@ -144,13 +144,9 @@ def classify(
     super layers.  Quadratic losses also get ``oracle_gap``, the loss above
     the closed-form rank-``d`` optimum, on any data.
     """
-    below, above = prefix_suffix_products(chain.factors)
-    value = loss.value(below[-1])
-    grad = loss.gradient(below[-1])
-    grad_norms = tuple(
-        float(np.linalg.norm(above[i].T @ grad @ below[i - 1].T))
-        for i in range(1, chain.k + 1)
-    )
+    product, grad, grads = gradient_core(chain.factors, loss, range(1, chain.k + 1))
+    value = loss.value(product)
+    grad_norms = tuple(float(np.linalg.norm(g)) for g in grads.values())
     convex_norm = float(np.linalg.norm(grad))
 
     split = bottleneck_split(chain)

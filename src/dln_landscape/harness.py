@@ -345,6 +345,11 @@ def train_gd(
 ) -> tuple[FactorChain, Trajectory]:
     """Backtracking gradient descent on every layer, with a full trajectory.
 
+    The trainer for callers that read the trajectory (``dln train`` and the
+    round-trip section of ``verify``); callers that need only the final
+    chain, loss and status call ``optim.armijo_gd`` directly, which skips
+    the two rank SVDs that recording costs per step.
+
     ``train_gd(chain, loss, max_steps=TRAIN_MAX_STEPS, stop_grad_tol=
     DEFAULT_GRAD_TOL, rank_tol=DEFAULT_RANK_TOL)`` returns the trained chain
     and its trajectory.  Runs ``optim.armijo_gd``, which rejects a negative

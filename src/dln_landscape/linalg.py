@@ -136,7 +136,9 @@ def min_norm_right_solve(a, target, rank_tol: float = DEFAULT_RANK_TOL):
 
     Returns ``(z, amplification)`` where ``amplification`` is
     ``|z|_F / |target|_F`` (0 when the target is zero).  The factor is
-    reported, not bounded: ill-conditioned ``a`` can make it large.
+    reported, not bounded: ill-conditioned ``a`` can make it large.  Raises
+    ``ValueError`` when either norm overflows, since the factor would then
+    be meaningless.
     """
     a = ensure_matrix(a, "a")
     target = ensure_matrix(target, "target")
@@ -153,8 +155,12 @@ def min_norm_right_solve(a, target, rank_tol: float = DEFAULT_RANK_TOL):
     # full-rank system for which lstsq returns the minimum-norm solution.
     zt, _, _, _ = np.linalg.lstsq(a.T, target.T, rcond=None)
     z = zt.T
-    target_norm = float(np.linalg.norm(target))
-    amplification = float(np.linalg.norm(z)) / target_norm if target_norm > 0.0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        target_norm = float(np.linalg.norm(target))
+        z_norm = float(np.linalg.norm(z))
+    if not (np.isfinite(target_norm) and np.isfinite(z_norm)):
+        raise ValueError("the norm of the target or of its lift overflows")
+    amplification = z_norm / target_norm if target_norm > 0.0 else 0.0
     return z, amplification
 
 

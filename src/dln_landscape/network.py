@@ -5,10 +5,11 @@ numbered 1..k throughout this package) whose product ``M_k @ ... @ M_1`` maps
 width ``d_0`` to width ``d_k``.  The composite objective is
 ``loss.value(M_k @ ... @ M_1)`` for a convex, differentiable ``loss``.
 
-This module owns the chain-product core used across the package:
-:func:`running_product` and :func:`prefix_suffix_products` work on plain
-sequences of arrays, so the optimizer, the trainer and the perturbation
-engine share them without building chain objects.
+This module owns the chain-product and gradient core used across the
+package: :func:`running_product`, :func:`prefix_suffix_products` and
+:func:`gradient_core` work on plain sequences of arrays, so the optimizer,
+the analyzer and the perturbation engine share them without building chain
+objects.
 
 The split utilities cut a chain at an interior layer of minimum width into
 the two "super layers" above and below the cut; most of the landscape
@@ -37,6 +38,7 @@ __all__ = [
     "BottleneckSplit",
     "running_product",
     "prefix_suffix_products",
+    "gradient_core",
     "partial_product",
     "end_to_end",
     "chain_loss",
@@ -284,6 +286,23 @@ def prefix_suffix_products(mats) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return below, above[::-1]
 
 
+def gradient_core(
+    mats, loss: ConvexLoss, layers
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """End-to-end product, convex gradient and layer gradients of a chain
+    given as raw arrays.
+
+    Returns ``(W, f'(W), grads)`` with ``W`` the product of ``mats`` and
+    ``grads[i] = (M_k ... M_{i+1})^T f'(W) (M_{i-1} ... M_1)^T``, the
+    gradient of the composite objective w.r.t. layer ``i``, for each 1-based
+    position ``i`` in ``layers`` (in that order).  Built on
+    :func:`prefix_suffix_products`, so it costs O(k) matrix multiplies.
+    """
+    below, above = prefix_suffix_products(mats)
+    grad = loss.gradient(below[-1])
+    return below[-1], grad, {i: above[i].T @ grad @ below[i - 1].T for i in layers}
+
+
 def partial_product(chain: FactorChain, lo: int, hi: int) -> np.ndarray:
     """Product of layers ``hi, hi-1, ..., lo`` (``M_hi @ ... @ M_lo``).
 
@@ -338,15 +357,11 @@ def _check_finite_loss(chain: FactorChain, loss: ConvexLoss) -> None:
 def layer_gradients(chain: FactorChain, loss: ConvexLoss) -> list[np.ndarray]:
     """Exact gradient of the composite objective w.r.t. every layer.
 
-    Entry ``i - 1`` holds the gradient for layer ``i``:
-    ``(M_k ... M_{i+1})^T  f'(W)  (M_{i-1} ... M_1)^T`` with ``W`` the
-    end-to-end product.  Built on :func:`prefix_suffix_products`, so the
-    whole list costs O(k) matrix multiplies.
+    Entry ``i - 1`` holds the gradient for layer ``i``, as computed by
+    :func:`gradient_core`.
     """
     _check_loss_shape(chain, loss)
-    below, above = prefix_suffix_products(chain.factors)
-    grad = loss.gradient(below[-1])
-    return [above[i].T @ grad @ below[i - 1].T for i in range(1, chain.k + 1)]
+    return list(gradient_core(chain.factors, loss, range(1, chain.k + 1))[2].values())
 
 
 @dataclass(frozen=True)

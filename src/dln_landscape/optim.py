@@ -1,17 +1,18 @@
 """Backtracking gradient descent on raw layer arrays.
 
-The full-chain trainer (``harness.train_gd``) and the post-escape descent
-search (``analyze.descent_search``) both run this loop: steepest descent on
-a chosen subset of layers with Armijo backtracking, strictly monotone by
-construction, single-threaded and deterministic.  The first trial of each
-line search is the Barzilai–Borwein step ``sᵀs / sᵀy`` of the last accepted
-step (Barzilai & Borwein 1988), and the loop stops as soon as an accepted
-step leaves the loss bit-identical, since no later step can lower it.  It
-works on plain arrays and takes its products from the ``network`` product
-core, so a step builds no chain objects.  The layers below the lowest
-active one never change, so their product is built once per call and heads
-the chain the loop works on: a step's products and a line-search trial's
-running product cover only the active block and the layers above it.
+The full-chain trainer (``harness.train_gd``), the post-escape descent
+search (``analyze.descent_search``) and the oracle and restart runs of
+``verify`` all run this loop: steepest descent on a chosen subset of layers
+with Armijo backtracking, strictly monotone by construction,
+single-threaded and deterministic.  The first trial of each line search is
+the Barzilai–Borwein step ``sᵀs / sᵀy`` of the last accepted step (Barzilai
+& Borwein 1988), and the loop stops as soon as an accepted step leaves the
+loss bit-identical, since no later step can lower it.  It works on plain
+arrays and takes its products and gradients from the ``network`` core, so a
+step builds no chain objects.  The layers below the lowest active one never
+change, so their product is built once per call and heads the chain the
+loop works on: a step's products and a line-search trial's running product
+cover only the active block and the layers above it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import ConvexLoss, prefix_suffix_products, running_product
+from .network import ConvexLoss, gradient_core, running_product
 
 __all__ = [
     "GDResult",
@@ -106,14 +107,13 @@ def armijo_gd(
     lo = active[0]
     head = [running_product(current[: lo - 1])] if lo > 1 else []
     shift = lo - 1 - len(head)
+    positions = [i - shift for i in active]  # the active layers in the block
     value = loss.value(running_product(head + current[lo - 1 :]))
     t = STEP_INIT
     last = None  # the last accepted step's gradients and their squared norm
     steps = 0
     while True:
-        below, above = prefix_suffix_products(head + current[lo - 1 :])
-        grad = loss.gradient(below[-1])
-        grads = {i: above[i - shift].T @ grad @ below[i - shift - 1].T for i in active}
+        grads = gradient_core(head + current[lo - 1 :], loss, positions)[2]
         max_grad = max(float(np.linalg.norm(g)) for g in grads.values())
         if on_state is not None:
             on_state(steps, current, value, max_grad)
@@ -127,7 +127,7 @@ def armijo_gd(
         first = t * STEP_GROW
         if last is not None:
             last_grads, last_squared = last
-            curvature = last_squared - sum(float(np.vdot(last_grads[i], grads[i])) for i in active)
+            curvature = last_squared - sum(float(np.vdot(last_grads[p], grads[p])) for p in grads)
             if curvature > 0:
                 first = t * last_squared / curvature
         t = min(first, 1e12)
@@ -136,7 +136,7 @@ def armijo_gd(
             while t >= MIN_STEP:
                 trial = list(current)
                 for i in active:
-                    trial[i - 1] = current[i - 1] - t * grads[i]
+                    trial[i - 1] = current[i - 1] - t * grads[i - shift]
                 product = running_product(head + trial[lo - 1 :])
                 trial_value = loss.value(product) if np.all(np.isfinite(product)) else np.inf
                 if trial_value <= value - ARMIJO_C * t * squared:

@@ -13,7 +13,8 @@ timestamps, no paths, no iteration-order dependence.  Running
 the suite twice with the same arguments must produce identical bytes, and
 that property is itself checked by the test suite.  The acceptance tests
 run the cores of the sections they share (``_gradient_checks``,
-``_escape_and_descend``, ``_lift_outcomes``, ``_oracle_runs``) at their own seeds.
+``_escape_and_descend``, ``_lift_outcomes``, ``_oracle_runs``,
+``_restart_best``, ``_csv_round_trip``) at their own seeds and probes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import network
 from .analyze import Classification, DescentNotFoundError, classify, descent_search
 from .harness import InstanceSpec, gen_instance, stream, train_gd
-from .linalg import DEFAULT_INVARIANCE_TOL
+from .linalg import DEFAULT_GRAD_TOL, DEFAULT_INVARIANCE_TOL
 from .network import (
     FactorChain,
     LogCoshLoss,
@@ -39,7 +40,7 @@ from .network import (
     partial_product,
     validate_loss_contract,
 )
-from .optim import STATUS_CRITICAL
+from .optim import STATUS_CRITICAL, armijo_gd
 from .oracle import finite_diff_gradient, rrr_oracle
 from .perturb import ConstructionFailedError, escape_construction, lift_perturbation
 from .storage import (
@@ -372,10 +373,12 @@ def _oracle_runs(seeds):
     for inst_seed in seeds:
         inst = gen_instance(InstanceSpec(dims=_TRAINER_DIMS, seed=inst_seed))
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, inst.chain.dims.min_width)
-        trained, trajectory = train_gd(inst.chain, inst.loss, max_steps=4000)
-        final = chain_loss(trained, inst.loss)
-        near = final <= fit.loss + 1e-5 * (1.0 + abs(fit.loss))
-        yield trained, inst.loss, trajectory.status, final, fit.loss, near
+        result = armijo_gd(
+            inst.chain.factors, inst.loss, range(1, inst.chain.k + 1), 4000, DEFAULT_GRAD_TOL
+        )
+        near = result.loss <= fit.loss + 1e-5 * (1.0 + abs(fit.loss))
+        trained = FactorChain(tuple(result.factors))
+        yield trained, inst.loss, result.status, result.loss, fit.loss, near
 
 
 def _section_trainer_vs_oracle(seed: int, trials: int) -> SectionResult:
@@ -399,23 +402,31 @@ def _section_trainer_vs_oracle(seed: int, trials: int) -> SectionResult:
     )
 
 
+def _restart_best(loss, inits, max_steps: int, stop_grad_tol: float) -> float:
+    """The lowest loss that full-chain descent reaches from any of the
+    chains ``inits``."""
+    return min(
+        armijo_gd(init.factors, loss, range(1, init.k + 1), max_steps, stop_grad_tol).loss
+        for init in inits
+    )
+
+
 def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
     problems = 0
     checks = 0
     worst = 0.0
     seeds = _instance_seeds(seed, 8, trials)
-    restarts = 8
     for t, inst_seed in enumerate(seeds):
         dims = _RESTART_TRIPLES[t % len(_RESTART_TRIPLES)]
         spec = InstanceSpec(dims=dims, seed=inst_seed)
         inst = gen_instance(spec)
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, min(dims))
         restart_rng = stream(inst_seed, _SECTION_KEY_BASE + 8, t)
-        best = np.inf
-        for _ in range(restarts):
-            init = gen_instance(replace(spec, seed=int(restart_rng.integers(0, 2**63)))).chain
-            trained, _ = train_gd(init, inst.loss, max_steps=3000, stop_grad_tol=1e-9)
-            best = min(best, chain_loss(trained, inst.loss))
+        inits = (
+            gen_instance(replace(spec, seed=int(restart_rng.integers(0, 2**63)))).chain
+            for _ in range(8)
+        )
+        best = _restart_best(inst.loss, inits, 3000, 1e-9)
         gap = abs(best - fit.loss) / (1.0 + abs(fit.loss))
         worst = max(worst, gap)
         if not (fit.loss <= best + 1e-9 * (1.0 + abs(best)) and gap <= 1e-6):
@@ -429,6 +440,23 @@ def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
         f"{problems} of {checks} data sets saw restarted descent disagree "
         f"with the closed-form optimum; worst relative gap {fmt_float(worst)}",
     )
+
+
+def _csv_round_trip(matrix: np.ndarray, directory: Path) -> list[str]:
+    """Save ``matrix`` as CSV under ``directory``, load it back and save the
+    loaded matrix again; return what changed: the bits of the loaded matrix
+    or the bytes of the rewritten file."""
+    first = directory / "probe_a.csv"
+    second = directory / "probe_b.csv"
+    save_matrix_csv(first, matrix)
+    loaded = load_matrix_csv(first)
+    save_matrix_csv(second, loaded)
+    problems = []
+    if loaded.tobytes() != matrix.tobytes():
+        problems.append("matrix round-trip changed bits")
+    if second.read_bytes() != first.read_bytes():
+        problems.append("rewritten matrix file changed bytes")
+    return problems
 
 
 def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
@@ -454,15 +482,7 @@ def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
         m[1, 0] = -1e300
         m[1, 1] = np.pi * 1e-10
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.csv"
-            save_matrix_csv(path, m)
-            back = load_matrix_csv(path)
-            if back.tobytes() != m.tobytes():
-                problems.append("matrix round-trip changed bits")
-            save_matrix_csv(path, back)
-            again = load_matrix_csv(path)
-            if again.tobytes() != back.tobytes():
-                problems.append("second save/load changed bits")
+            problems.extend(_csv_round_trip(m, Path(tmp)))
         checks += 1
 
         inst = gen_instance(spec)

@@ -3,12 +3,14 @@
 Eight independent criteria, each reported as one printed ``[PASS]``/``[FAIL]``
 line (run with ``pytest tests/test_acceptance.py -s`` to watch them land).
 Each criterion states its own sample count, tolerance, and — where it matters —
-wall-clock budget.  The whole file takes a few minutes; everything is seeded,
-so reruns are bit-for-bit identical.
+wall-clock budget.  The whole file takes under half a minute on two cores;
+everything is seeded, so reruns are bit-for-bit identical.
 
-Criteria 1, 3, 4, 5 and 6 run the same cores as the matching ``dln verify``
-sections, at their own seeds and sample counts, so each check has one
-implementation; 2, 7 and 8 test different things from their verify namesakes.
+Criteria 1 and 3–8 run the same cores as the matching ``dln verify``
+sections, at their own seeds, sample counts and probes, so each check has
+one implementation: 7 runs the restart core of the oracle-vs-restarts
+section and 8 its CSV round-trip core.  Criterion 2 tests a different thing
+from its verify namesake.
 """
 
 import os
@@ -22,12 +24,7 @@ import numpy as np
 
 import dln_landscape
 from dln_landscape.analyze import Classification, classify
-from dln_landscape.harness import (
-    InstanceSpec,
-    gen_instance,
-    stream,
-    train_gd,
-)
+from dln_landscape.harness import InstanceSpec, gen_instance, stream
 from dln_landscape.linalg import best_rank_approx
 from dln_landscape.network import (
     QuadraticLoss,
@@ -38,12 +35,13 @@ from dln_landscape.network import (
 from dln_landscape.optim import STATUS_CRITICAL
 from dln_landscape.oracle import rrr_oracle
 from dln_landscape.perturb import RankOnePerturbation, apply_family, kernel_family
-from dln_landscape.storage import load_matrix_csv, save_matrix_csv
 from dln_landscape.verify import (
+    _csv_round_trip,
     _escape_and_descend,
     _gradient_checks,
     _lift_outcomes,
     _oracle_runs,
+    _restart_best,
     _section_canonical_plateau,
 )
 
@@ -287,13 +285,11 @@ def test_acceptance_7_oracle_agrees_with_restarted_descent():
         targets = data.standard_normal((d_out, n))
         fit = rrr_oracle(inputs, targets, width)
         loss = QuadraticLoss(inputs, targets)
-        best = np.inf
-        for r in range(50):
-            inst = gen_instance(
-                InstanceSpec(dims=(d_in, width, d_out), seed=60000 + 100 * t + r)
-            )
-            _, trajectory = train_gd(inst.chain, loss, max_steps=1000, stop_grad_tol=1e-8)
-            best = min(best, trajectory.final.loss)
+        inits = (
+            gen_instance(InstanceSpec(dims=(d_in, width, d_out), seed=60000 + 100 * t + r)).chain
+            for r in range(50)
+        )
+        best = _restart_best(loss, inits, 1000, 1e-8)
         gap = abs(best - fit.loss) / (1.0 + abs(fit.loss))
         worst = max(worst, gap)
         if gap > 1e-6:
@@ -333,15 +329,7 @@ def test_acceptance_8_determinism_of_verify_and_csv(tmp_path):
     probe[1, 1] = 5e-324
     probe[2, 2] = -1e300
     probe[3, 3] = 1e-300
-    first = tmp_path / "probe_a.csv"
-    second = tmp_path / "probe_b.csv"
-    save_matrix_csv(first, probe)
-    loaded = load_matrix_csv(first)
-    save_matrix_csv(second, loaded)
-    csv_stable = (
-        loaded.tobytes() == probe.tobytes()
-        and first.read_bytes() == second.read_bytes()
-    )
+    csv_stable = not _csv_round_trip(probe, tmp_path)
 
     ok = identical and clean and csv_stable
     _verdict(

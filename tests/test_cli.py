@@ -206,6 +206,22 @@ class TestLift:
         err = np.linalg.norm(achieved - (split.below + target))
         assert err <= 1e-9 * np.linalg.norm(target)
 
+    @pytest.mark.parametrize("side, shape", (("above", (3, 2)), ("below", (2, 3))))
+    def test_overflowing_lift_norms_exit_1_and_write_nothing(self, tmp_path, capsys, side, shape):
+        # Every entry is finite, but the target's norm and its lift's
+        # overflow a float: the amplification would read nan.
+        inst = _gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", "7")
+        target_file = tmp_path / "target.csv"
+        save_matrix_csv(target_file, np.full(shape, 1e300))
+        update_file = tmp_path / "update.csv"
+        capsys.readouterr()
+        code = main(["lift", str(inst), "--target", str(target_file),
+                     "--side", side, "--out", str(update_file)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "overflows" in captured.err
+        assert not update_file.exists()
+
     def test_no_bottleneck_exits_3(self, tmp_path, capsys):
         inst = _gen(tmp_path, "inst", "--dims", "2,3,2")
         target_file = tmp_path / "target.csv"

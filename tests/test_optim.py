@@ -18,6 +18,7 @@ from dln_landscape.network import (
     FactorChain,
     QuadraticLoss,
     chain_loss,
+    gradient_core,
     layer_gradients,
     prefix_suffix_products,
     running_product,
@@ -151,27 +152,28 @@ def test_train_gd_path_matches_full_rebuild_bitwise(loss_kind):
 def test_products_skip_the_frozen_layers_below(monkeypatch):
     chain, loss = _start((6, 6, 6, 6, 3, 6, 6, 6, 6), "rank_deficient_plateau", "quadratic", 2)
     k, lo = chain.k, 5
-    lengths = {"running": [], "prefix_suffix": []}
+    lengths = {"running": [], "gradient": []}
 
     def counting_running_product(mats):
         lengths["running"].append(len(mats))
         return running_product(mats)
 
-    def counting_prefix_suffix_products(mats):
-        lengths["prefix_suffix"].append(len(mats))
-        return prefix_suffix_products(mats)
+    def counting_gradient_core(mats, loss, layers):
+        lengths["gradient"].append(len(mats))
+        return gradient_core(mats, loss, layers)
 
     monkeypatch.setattr(optim, "running_product", counting_running_product)
-    monkeypatch.setattr(optim, "prefix_suffix_products", counting_prefix_suffix_products)
+    monkeypatch.setattr(optim, "gradient_core", counting_gradient_core)
     result = armijo_gd(chain.factors, loss, range(lo, k + 1), 10, STOP_GRAD_TOL)
     assert result.steps > 0
     # One product of the lo - 1 frozen layers, then every product (the
-    # initial loss and each trial) runs over that head and layers lo..k.
+    # initial loss, each step's gradients and each trial) runs over that
+    # head and layers lo..k.
     block = 1 + k - (lo - 1)
     head, *rest = lengths["running"]
     assert head == lo - 1
     assert rest and set(rest) == {block}
-    assert set(lengths["prefix_suffix"]) == {block}
+    assert set(lengths["gradient"]) == {block}
 
 
 def _recorded_descent(factors, loss, active, max_steps):

@@ -7,12 +7,12 @@ import dln_landscape.network
 import dln_landscape.verify as verify_module
 from dln_landscape.analyze import Classification, DescentNotFoundError, classify
 from dln_landscape.cli import main
-from dln_landscape.harness import Trajectory
-from dln_landscape.network import chain_loss, layer_gradients
-from dln_landscape.optim import STATUS_CRITICAL, STATUS_PRECISION
+from dln_landscape.network import FactorChain, chain_loss, layer_gradients
+from dln_landscape.optim import STATUS_CRITICAL, STATUS_PRECISION, GDResult
 from dln_landscape.perturb import ConstructionFailedError
 from dln_landscape.verify import (
     _section_escape_and_descent,
+    _section_oracle_vs_restarts,
     _section_product_invariance,
     _section_trainer_vs_oracle,
     canonical_plateau,
@@ -144,13 +144,13 @@ class TestSectionRobustness:
     def test_only_a_critical_stall_explains_a_missed_oracle(self, monkeypatch, status, explained):
         # Every run stops at its start, far above the oracle, at a point the
         # analyzer calls critical: only a stalled-critical stop explains that.
-        def stopped(chain, loss, max_steps):
-            return chain, Trajectory((), status)
+        def stopped(factors, loss, active_layers, max_steps, stop_grad_tol):
+            return GDResult(list(factors), chain_loss(FactorChain(factors), loss), status, 0, 1.0)
 
         def critical(chain, loss):
             return SimpleNamespace(label=Classification.ESCAPABLE_PLATEAU)
 
-        monkeypatch.setattr(verify_module, "train_gd", stopped)
+        monkeypatch.setattr(verify_module, "armijo_gd", stopped)
         monkeypatch.setattr(verify_module, "classify", critical)
         section = _section_trainer_vs_oracle(7, 2)
         assert section.passed is False
@@ -158,6 +158,14 @@ class TestSectionRobustness:
             f"0 of 2 runs matched the closed-form oracle to 1e-5 relative; "
             f"{explained} stalled at a classified critical point; {2 - explained} unexplained"
         )
+
+    def test_oracle_sections_run_without_the_trajectory_trainer(self, monkeypatch):
+        def no_trainer(*args, **kwargs):
+            raise AssertionError("train_gd records a trajectory these sections never read")
+
+        monkeypatch.setattr(verify_module, "train_gd", no_trainer)
+        for section in (_section_trainer_vs_oracle(42, 1), _section_oracle_vs_restarts(42, 1)):
+            assert section.passed, section.detail
 
     def test_failed_descent_search_fails_its_sections_with_a_full_report(self, monkeypatch, capsys):
         def no_descent(*args, **kwargs):
