@@ -40,6 +40,7 @@ from .network import (
     bottleneck_split,
     end_to_end,
     gradient_core,
+    prefix_products,
     split_or_raise,
 )
 from .oracle import rrr_oracle
@@ -144,7 +145,10 @@ def classify(
     super layers.  Quadratic losses also get ``oracle_gap``, the loss above
     the closed-form rank-``d`` optimum, on any data.
     """
-    product, grad, grads = gradient_core(chain.factors, loss, range(1, chain.k + 1))
+    below = prefix_products(chain.factors)
+    product = below[-1]
+    grad = loss.gradient(product)
+    grads = gradient_core(chain.factors, below, grad, range(1, chain.k + 1))
     value = loss.value(product)
     grad_norms = tuple(float(np.linalg.norm(g)) for g in grads.values())
     convex_norm = float(np.linalg.norm(grad))

@@ -6,10 +6,12 @@ width ``d_0`` to width ``d_k``.  The composite objective is
 ``loss.value(M_k @ ... @ M_1)`` for a convex, differentiable ``loss``.
 
 This module owns the chain-product and gradient core used across the
-package: :func:`running_product`, :func:`prefix_suffix_products` and
-:func:`gradient_core` work on plain sequences of arrays, so the optimizer,
-the analyzer and the perturbation engine share them without building chain
-objects.
+package: :func:`running_product`, :func:`prefix_products`,
+:func:`suffix_products` and :func:`gradient_core` work on plain sequences of
+arrays, so the optimizer, the analyzer and the perturbation engine share
+them without building chain objects.  No product is padded with an
+identity: the prefix products are the running product's own intermediates,
+and the suffix products stop at the lowest layer that is asked for.
 
 The split utilities cut a chain at an interior layer of minimum width into
 the two "super layers" above and below the cut; most of the landscape
@@ -37,7 +39,8 @@ __all__ = [
     "TransposedLoss",
     "BottleneckSplit",
     "running_product",
-    "prefix_suffix_products",
+    "prefix_products",
+    "suffix_products",
     "gradient_core",
     "partial_product",
     "end_to_end",
@@ -156,20 +159,31 @@ class ConvexLoss(abc.ABC):
     """A convex, differentiable function of the end-to-end product matrix.
 
     Implementations expose the shape they accept (``out_rows`` x ``in_cols``)
-    plus ``value`` and ``gradient``.  The contract — gradient consistent with
-    central finite differences, midpoint convexity — is spot-checkable via
+    plus ``value`` and ``gradient``.  These check the product (a finite 2-D
+    array of that shape) and then call the unchecked cores ``_value`` and
+    ``_gradient``, which subclasses implement.  The descent loop of
+    ``optim`` calls the cores directly: it checks the shape once per call
+    through ``value`` and the finiteness of every product it builds.  The
+    contract — gradient consistent with central finite differences,
+    midpoint convexity — is spot-checkable via
     :func:`validate_loss_contract`.
     """
 
     out_rows: int
     in_cols: int
 
-    @abc.abstractmethod
     def value(self, w: np.ndarray) -> float:
+        return self._value(self._check_shape(w))
+
+    def gradient(self, w: np.ndarray) -> np.ndarray:
+        return self._gradient(self._check_shape(w))
+
+    @abc.abstractmethod
+    def _value(self, w: np.ndarray) -> float:
         raise NotImplementedError
 
     @abc.abstractmethod
-    def gradient(self, w: np.ndarray) -> np.ndarray:
+    def _gradient(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _check_shape(self, w: np.ndarray) -> np.ndarray:
@@ -199,13 +213,11 @@ class QuadraticLoss(ConvexLoss):
         self.out_rows = self.targets.shape[0]
         self.in_cols = self.inputs.shape[0]
 
-    def value(self, w: np.ndarray) -> float:
-        w = self._check_shape(w)
+    def _value(self, w: np.ndarray) -> float:
         r = w @ self.inputs - self.targets
-        return float(np.sum(r * r))
+        return float((r * r).sum())
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_shape(w)
+    def _gradient(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * (w @ self.inputs - self.targets) @ self.inputs.T
 
 
@@ -228,12 +240,10 @@ class LogCoshLoss(ConvexLoss):
         ax = np.abs(x)
         return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
-    def value(self, w: np.ndarray) -> float:
-        w = self._check_shape(w)
-        return float(np.sum(self._logcosh(w - self.target)))
+    def _value(self, w: np.ndarray) -> float:
+        return float(self._logcosh(w - self.target).sum())
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_shape(w)
+    def _gradient(self, w: np.ndarray) -> np.ndarray:
         return np.tanh(w - self.target)
 
 
@@ -250,13 +260,11 @@ class TransposedLoss(ConvexLoss):
         self.out_rows = base.in_cols
         self.in_cols = base.out_rows
 
-    def value(self, w: np.ndarray) -> float:
-        w = self._check_shape(w)
-        return self.base.value(w.T)
+    def _value(self, w: np.ndarray) -> float:
+        return self.base._value(w.T)
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_shape(w)
-        return self.base.gradient(w.T).T
+    def _gradient(self, w: np.ndarray) -> np.ndarray:
+        return self.base._gradient(w.T).T
 
 
 def running_product(mats) -> np.ndarray:
@@ -268,39 +276,49 @@ def running_product(mats) -> np.ndarray:
     return out
 
 
-def prefix_suffix_products(mats) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All prefix and suffix products of a chain given as raw arrays.
-
-    Returns ``(below, above)`` with ``below[i] = M_i ... M_1`` and
-    ``above[i] = M_k ... M_{i+1}`` for ``i = 0..k``; ``below[0]`` and
-    ``above[k]`` are identities, so ``below[k]`` is the end-to-end product
-    and layer ``i`` sits between ``above[i]`` and ``below[i - 1]``.  Costs
-    O(k) matrix multiplies.
-    """
-    below = [np.eye(mats[0].shape[1])]
-    for m in mats:
+def prefix_products(mats) -> list[np.ndarray]:
+    """The intermediates of :func:`running_product` over a non-empty
+    sequence: entry ``i - 1`` is ``M_i ... M_1``, so the first entry is
+    ``mats[0]`` itself and the last is bitwise the running product."""
+    below = [mats[0]]
+    for m in mats[1:]:
         below.append(m @ below[-1])
-    above = [np.eye(mats[-1].shape[0])]
-    for m in reversed(mats):
-        above.append(above[-1] @ m)
-    return below, above[::-1]
+    return below
 
 
-def gradient_core(
-    mats, loss: ConvexLoss, layers
-) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """End-to-end product, convex gradient and layer gradients of a chain
-    given as raw arrays.
+def suffix_products(mats, lowest: int) -> dict[int, np.ndarray]:
+    """The products ``M_k ... M_{i+1}`` above layer ``i``, keyed by ``i``,
+    for ``i`` from ``k - 1`` down to ``lowest``.
 
-    Returns ``(W, f'(W), grads)`` with ``W`` the product of ``mats`` and
-    ``grads[i] = (M_k ... M_{i+1})^T f'(W) (M_{i-1} ... M_1)^T``, the
-    gradient of the composite objective w.r.t. layer ``i``, for each 1-based
-    position ``i`` in ``layers`` (in that order).  Built on
-    :func:`prefix_suffix_products`, so it costs O(k) matrix multiplies.
+    They accumulate from the top: ``M_k`` itself, then each entry is the one
+    above it times ``M_{i+1}``, so they cost ``k - 1 - lowest`` matrix
+    multiplies.  Layer ``k`` has nothing above it and gets no entry.
     """
-    below, above = prefix_suffix_products(mats)
-    grad = loss.gradient(below[-1])
-    return below[-1], grad, {i: above[i].T @ grad @ below[i - 1].T for i in layers}
+    k = len(mats)
+    above = {k - 1: mats[-1]} if lowest < k else {}
+    for i in range(k - 2, lowest - 1, -1):
+        above[i] = above[i + 1] @ mats[i]
+    return above
+
+
+def gradient_core(mats, below, grad, layers) -> dict[int, np.ndarray]:
+    """Layer gradients of a chain given as raw arrays.
+
+    ``below`` is :func:`prefix_products` of ``mats`` and ``grad`` the convex
+    gradient ``f'(W)`` at its last entry, the end-to-end product ``W``.
+    Returns ``{i: (M_k ... M_{i+1})^T f'(W) (M_{i-1} ... M_1)^T}``, the
+    gradient of the composite objective w.r.t. layer ``i``, for each 1-based
+    position ``i`` in ``layers`` (in that order).  The suffix products are
+    built down to the lowest of ``layers`` only, and the top and bottom
+    layers skip the empty product on their side.
+    """
+    k = len(mats)
+    above = suffix_products(mats, min(layers))
+    grads = {}
+    for i in layers:
+        g = grad if i == k else above[i].T @ grad
+        grads[i] = g if i == 1 else g @ below[i - 2].T
+    return grads
 
 
 def partial_product(chain: FactorChain, lo: int, hi: int) -> np.ndarray:
@@ -361,7 +379,9 @@ def layer_gradients(chain: FactorChain, loss: ConvexLoss) -> list[np.ndarray]:
     :func:`gradient_core`.
     """
     _check_loss_shape(chain, loss)
-    return list(gradient_core(chain.factors, loss, range(1, chain.k + 1))[2].values())
+    below = prefix_products(chain.factors)
+    grads = gradient_core(chain.factors, below, loss.gradient(below[-1]), range(1, chain.k + 1))
+    return list(grads.values())
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,20 @@ loss bit-identical, since no later step can lower it.  It works on plain
 arrays and takes its products and gradients from the ``network`` core, so a
 step builds no chain objects.  The layers below the lowest active one never
 change, so their product is built once per call and heads the chain the
-loop works on: a step's products and a line-search trial's running product
-cover only the active block and the layers above it.
+loop works on: a line-search trial's forward products cover only the active
+block and the layers above it, and the next gradient reuses the accepted
+trial's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import ConvexLoss, gradient_core, running_product
+from .network import ConvexLoss, gradient_core, prefix_products, running_product
 
 __all__ = [
     "GDResult",
@@ -48,6 +50,13 @@ STEP_GROW = 2.0
 MIN_STEP = 1e-18
 
 
+def _norm(g: np.ndarray) -> float:
+    """``np.linalg.norm(g)`` without its dispatch: the square root of the
+    same dot product over the same flattening."""
+    flat = g.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 @dataclass
 class GDResult:
     factors: list[np.ndarray]
@@ -68,8 +77,12 @@ def armijo_gd(
     """Steepest descent with Armijo backtracking on selected layers.
 
     ``active_layers`` holds 1-based layer numbers; the rest stay frozen.
-    A line-search trial costs one running product of the layers from the
-    lowest active one up, headed by the product of the frozen layers below.
+    A line-search trial costs one forward product of the layers from the
+    lowest active one up, headed by the product of the frozen layers below;
+    its intermediates are the prefix products that the next step's gradient
+    reuses when the trial is accepted, so a gradient builds only the suffix
+    products.  The loss's shape is checked once, by ``loss.value`` at the
+    start; the loop then calls ``loss._value`` and ``loss._gradient``.
     The first trial of each line search is the Barzilai–Borwein step
     ``sᵀs / sᵀy`` of the last accepted step.  With ``s = -t·g_prev`` and
     ``y = g - g_prev`` that is ``t·‖g_prev‖² / (‖g_prev‖² - ⟨g_prev, g⟩)``,
@@ -108,13 +121,16 @@ def armijo_gd(
     head = [running_product(current[: lo - 1])] if lo > 1 else []
     shift = lo - 1 - len(head)
     positions = [i - shift for i in active]  # the active layers in the block
-    value = loss.value(running_product(head + current[lo - 1 :]))
+    below = prefix_products(head + current[lo - 1 :])
+    value = loss.value(below[-1])  # the one shape check of the call
     t = STEP_INIT
     last = None  # the last accepted step's gradients and their squared norm
     steps = 0
     while True:
-        grads = gradient_core(head + current[lo - 1 :], loss, positions)[2]
-        max_grad = max(float(np.linalg.norm(g)) for g in grads.values())
+        # The forward products are the accepted trial's (or the start's).
+        grad = loss._gradient(below[-1])
+        grads = gradient_core(head + current[lo - 1 :], below, grad, positions)
+        max_grad = max(_norm(g) for g in grads.values())
         if on_state is not None:
             on_state(steps, current, value, max_grad)
         if max_grad <= stop_grad_tol:
@@ -123,7 +139,7 @@ def armijo_gd(
         if steps >= max_steps:
             status = STATUS_BUDGET
             break
-        squared = sum(float(np.sum(g**2)) for g in grads.values())
+        squared = sum(float((g * g).sum()) for g in grads.values())
         first = t * STEP_GROW
         if last is not None:
             last_grads, last_squared = last
@@ -137,8 +153,9 @@ def armijo_gd(
                 trial = list(current)
                 for i in active:
                     trial[i - 1] = current[i - 1] - t * grads[i - shift]
-                product = running_product(head + trial[lo - 1 :])
-                trial_value = loss.value(product) if np.all(np.isfinite(product)) else np.inf
+                trial_below = prefix_products(head + trial[lo - 1 :])
+                product = trial_below[-1]
+                trial_value = loss._value(product) if np.isfinite(product).all() else np.inf
                 if trial_value <= value - ARMIJO_C * t * squared:
                     break
                 t *= BACKTRACK
@@ -148,7 +165,7 @@ def armijo_gd(
         if trial_value == value:
             status = STATUS_PRECISION
             break
-        current, value, last = trial, trial_value, (grads, squared)
+        current, below, value, last = trial, trial_below, trial_value, (grads, squared)
         steps += 1
     return GDResult(
         factors=current, loss=value, status=status, steps=steps, max_grad=max_grad

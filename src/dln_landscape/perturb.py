@@ -37,8 +37,9 @@ from .network import (
     end_to_end,
     make_split,
     partial_product,
-    prefix_suffix_products,
+    prefix_products,
     split_or_raise,
+    suffix_products,
 )
 
 __all__ = [
@@ -153,7 +154,7 @@ def kernel_family(
         raise FullRankAboveError(
             f"upper super layer has full rank {d}; no kernel family exists"
         )
-    _, above = prefix_suffix_products(chain.factors)
+    above = suffix_products(chain.factors, 1)
     return [kernel_vector(above[i], rank_tol) for i in range(1, split.index + 1)]
 
 
@@ -231,7 +232,7 @@ def escape_construction(
     witness score, super-layer gradient or loss change is inf or NaN).
     """
     split = split_or_raise(chain, split)
-    below, _ = prefix_suffix_products(chain.factors)
+    below = prefix_products(chain.factors)  # below[i - 1] = M_i ... M_1
     product = below[-1]
     grad = loss.gradient(product)
     grad_norm = float(np.linalg.norm(grad))
@@ -257,7 +258,7 @@ def escape_construction(
     # contained in the gradient null space.
     containment_start = 0
     for i in range(1, j + 1):
-        scores = _row_scores(below[i], grad)
+        scores = _row_scores(below[i - 1], grad)
         if np.all(scores <= member_threshold):
             containment_start = i
             break
@@ -281,7 +282,7 @@ def escape_construction(
             vs[0] = delta * u
             current = chain.factor(1) + np.outer(kernels[0], vs[0])
         else:
-            current = below[i0 - 1]
+            current = below[i0 - 2]
             pick = int(np.argmax(_row_scores(current, grad)))
             vs[i0 - 1] = delta * _basis(current.shape[0], pick)
             current = chain.factor(i0) @ current + np.outer(

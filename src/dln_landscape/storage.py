@@ -51,7 +51,11 @@ def save_matrix_csv(path, m) -> None:
         raise ValueError(f"can only store 2-D matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"refusing to store non-finite entries in {path}")
-    lines = [",".join(fmt_float(v) for v in row) for row in m]
+    # One %-format per row over Python floats writes the bytes of
+    # ``fmt_float`` on every entry (both render ".17g") without a call per
+    # entry.
+    row_format = ",".join(["%.17g"] * m.shape[1])
+    lines = [row_format % tuple(row) for row in m.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

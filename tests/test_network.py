@@ -18,8 +18,10 @@ from dln_landscape.network import (
     layer_gradients,
     make_split,
     partial_product,
-    prefix_suffix_products,
+    gradient_core,
+    prefix_products,
     running_product,
+    suffix_products,
     validate_loss_contract,
 )
 
@@ -275,17 +277,35 @@ class TestProductCore:
         assert np.array_equal(running_product(chain.factors), m3 @ (m2 @ m1))
         assert running_product(chain.factors[:1]) is m1
 
-    def test_prefix_suffix_products_bracket_every_layer(self):
+    def test_prefix_and_suffix_products_bracket_every_layer(self):
         chain = _random_chain((3, 4, 2, 4, 3), seed=31)
-        below, above = prefix_suffix_products(chain.factors)
-        assert len(below) == len(above) == chain.k + 1
-        assert np.array_equal(below[0], np.eye(3))
-        assert np.array_equal(above[chain.k], np.eye(3))
-        for i in range(chain.k + 1):
-            assert np.allclose(below[i], partial_product(chain, 1, i), rtol=1e-12, atol=1e-12)
+        below = prefix_products(chain.factors)
+        above = suffix_products(chain.factors, 1)
+        assert len(below) == chain.k and sorted(above) == list(range(1, chain.k))
+        assert below[0] is chain.factors[0] and above[chain.k - 1] is chain.factors[-1]
+        assert np.array_equal(below[-1], running_product(chain.factors))
+        for i in range(1, chain.k + 1):
+            assert np.allclose(below[i - 1], partial_product(chain, 1, i), rtol=1e-12, atol=1e-12)
+        for i in range(1, chain.k):
             assert np.allclose(above[i], partial_product(chain, i + 1, chain.k),
                                rtol=1e-12, atol=1e-12)
-            assert np.allclose(above[i] @ below[i], end_to_end(chain), rtol=1e-12, atol=1e-12)
+            assert np.allclose(above[i] @ below[i - 1], end_to_end(chain), rtol=1e-12, atol=1e-12)
+
+    def test_suffix_products_stop_at_the_lowest_layer(self):
+        chain = _random_chain((3, 4, 2, 4, 3, 2), seed=32)
+        assert sorted(suffix_products(chain.factors, 3)) == [3, 4]
+        assert suffix_products(chain.factors, chain.k) == {}
+
+    def test_gradient_core_on_a_subset_of_layers(self):
+        chain = _random_chain((3, 4, 2, 4, 3), seed=33)
+        rng = _rng(34)
+        loss = QuadraticLoss(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)))
+        below = prefix_products(chain.factors)
+        grads = gradient_core(chain.factors, below, loss.gradient(below[-1]), [4, 2])
+        assert list(grads) == [4, 2]
+        every = layer_gradients(chain, loss)
+        for i, g in grads.items():
+            assert np.array_equal(g, every[i - 1])
 
 
 class TestSplits:

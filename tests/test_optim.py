@@ -2,10 +2,14 @@
 the whole chain, the work it does per step, its step rule and its stops.
 
 The descent multiplies the frozen layers below the lowest active one once
-and runs each step on the shorter chain that this product heads.  Because
-products accumulate from the bottom, every result must be bitwise the one
-of the full-rebuild loop kept below as the reference.
+and runs each step on the shorter chain that this product heads, and its
+gradients reuse the accepted trial's forward products.  Because products
+accumulate from the bottom, every result must be bitwise the one of the
+full-rebuild loop kept below as the reference, which pads its products with
+identities.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,9 +22,7 @@ from dln_landscape.network import (
     FactorChain,
     QuadraticLoss,
     chain_loss,
-    gradient_core,
     layer_gradients,
-    prefix_suffix_products,
     running_product,
 )
 from dln_landscape.optim import (
@@ -38,6 +40,19 @@ from dln_landscape.optim import (
 
 MAX_STEPS = 40
 STOP_GRAD_TOL = 1e-8
+
+
+def prefix_suffix_products(mats):
+    """Identity-padded prefix and suffix products: ``below[i] = M_i ... M_1``
+    and ``above[i] = M_k ... M_{i+1}`` for ``i = 0..k``, with ``below[0]``
+    and ``above[k]`` identities."""
+    below = [np.eye(mats[0].shape[1])]
+    for m in mats:
+        below.append(m @ below[-1])
+    above = [np.eye(mats[-1].shape[0])]
+    for m in reversed(mats):
+        above.append(above[-1] @ m)
+    return below, above[::-1]
 
 
 def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
@@ -149,31 +164,95 @@ def test_train_gd_path_matches_full_rebuild_bitwise(loss_kind):
         assert got.tobytes() == want.tobytes()
 
 
+def _counting(monkeypatch, name, log=None):
+    """Replace ``optim.<name>`` with a wrapper that records ``(name, args,
+    result)`` for each call in ``log``."""
+    log = [] if log is None else log
+    original = getattr(optim, name)
+
+    def counted(*args):
+        result = original(*args)
+        log.append((name, args, result))
+        return result
+
+    monkeypatch.setattr(optim, name, counted)
+    return log
+
+
 def test_products_skip_the_frozen_layers_below(monkeypatch):
     chain, loss = _start((6, 6, 6, 6, 3, 6, 6, 6, 6), "rank_deficient_plateau", "quadratic", 2)
     k, lo = chain.k, 5
-    lengths = {"running": [], "gradient": []}
-
-    def counting_running_product(mats):
-        lengths["running"].append(len(mats))
-        return running_product(mats)
-
-    def counting_gradient_core(mats, loss, layers):
-        lengths["gradient"].append(len(mats))
-        return gradient_core(mats, loss, layers)
-
-    monkeypatch.setattr(optim, "running_product", counting_running_product)
-    monkeypatch.setattr(optim, "gradient_core", counting_gradient_core)
+    running = _counting(monkeypatch, "running_product")
+    forward = _counting(monkeypatch, "prefix_products")
+    gradient = _counting(monkeypatch, "gradient_core")
     result = armijo_gd(chain.factors, loss, range(lo, k + 1), 10, STOP_GRAD_TOL)
     assert result.steps > 0
-    # One product of the lo - 1 frozen layers, then every product (the
-    # initial loss, each step's gradients and each trial) runs over that
-    # head and layers lo..k.
+    # One product of the lo - 1 frozen layers per call, then every forward
+    # product (the start's and each trial's) and every gradient runs over
+    # that head and layers lo..k.
     block = 1 + k - (lo - 1)
-    head, *rest = lengths["running"]
-    assert head == lo - 1
-    assert rest and set(rest) == {block}
-    assert set(lengths["gradient"]) == {block}
+    assert [len(args[0]) for _, args, _ in running] == [lo - 1]
+    assert forward and {len(args[0]) for _, args, _ in forward} == {block}
+    assert gradient and {len(args[0]) for _, args, _ in gradient} == {block}
+
+
+@pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+def test_a_step_builds_one_forward_product_per_trial(monkeypatch, loss_kind):
+    inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=4))
+    log = _counting(monkeypatch, "prefix_products")
+    _counting(monkeypatch, "gradient_core", log)
+    cls, core = type(inst.loss), type(inst.loss)._value
+
+    def value_core(self, w):
+        log.append(("_value", (w,), None))
+        return core(self, w)
+
+    monkeypatch.setattr(cls, "_value", value_core)
+    result = armijo_gd(inst.chain.factors, inst.loss, range(1, 5), 30, STOP_GRAD_TOL)
+    assert result.steps == 30
+    names = [name for name, _, _ in log]
+    # The forward products are the start's and one per line-search trial,
+    # and the loss core evaluates each right after it is built (the start's
+    # through the checked ``value``; every trial is finite here) ...
+    values = [i for i, name in enumerate(names) if name == "_value"]
+    assert names.count("prefix_products") == len(values) > result.steps
+    for i in values:
+        assert names[i - 1] == "prefix_products" and log[i][1][0] is log[i - 1][2][-1]
+    # ... and each step's gradient runs on the prefix products built last:
+    # the start's or the accepted trial's, with none of its own.
+    gradients = [i for i, name in enumerate(names) if name == "gradient_core"]
+    assert len(gradients) == result.steps + 1
+    for i in gradients:
+        built = max(j for j in range(i) if names[j] == "prefix_products")
+        assert log[i][1][1] is log[built][2]
+
+
+# sha256 over status, steps, ``loss.hex()``, ``max_grad.hex()`` and the
+# factor bytes of the runs in ``_pinned_runs``, computed while the products
+# were still padded with identities.  Signed zeros are the one way dropping
+# those multiplies could change a result, and the factor bytes show them.
+PINNED_DESCENT_DIGEST = "0c643da5c76323d60fc8fad6cebba36ac549e5a14eb8f6276731576dc87bb2a6"
+
+
+def _pinned_runs():
+    for dims in ((4, 5, 2, 5, 4), (3, 4, 4, 2, 4, 4, 3)):
+        for construction in ("generic", "rank_deficient_plateau"):
+            for loss_kind in ("quadratic", "logcosh"):
+                chain, loss = _start(dims, construction, loss_kind, 0)
+                sets = _active_sets(chain)
+                for name in ("all", "upper", "lower"):
+                    yield chain.factors, loss, sets[name]
+
+
+def test_descent_results_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for factors, loss, active in _pinned_runs():
+        result = armijo_gd(factors, loss, active, MAX_STEPS, STOP_GRAD_TOL)
+        h.update(f"{result.status},{result.steps},{result.loss.hex()},"
+                 f"{result.max_grad.hex()};".encode())
+        for m in result.factors:
+            h.update(m.tobytes())
+    assert h.hexdigest() == PINNED_DESCENT_DIGEST
 
 
 def _recorded_descent(factors, loss, active, max_steps):

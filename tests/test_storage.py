@@ -55,6 +55,23 @@ class TestMatrixCSV:
         assert back.tobytes() == m.tobytes()
         assert np.signbit(back[0, 0])
 
+    @pytest.mark.parametrize("name", ("special", "random"))
+    def test_bytes_equal_the_per_entry_rendering(self, tmp_path, name):
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(np.float64).max
+        special = np.array([
+            [tiny, -tiny, np.finfo(np.float64).smallest_normal - tiny],
+            [0.0, -0.0, 0.1],
+            [huge, -huge, 2.0**53 + 2],
+            [1e22, 1e23, -1e23],
+        ])
+        rng = np.random.default_rng(3)
+        random = rng.standard_normal((40, 17)) * np.exp(rng.uniform(-700, 700, (40, 17)))
+        m = {"special": special, "random": random}[name]
+        p = tmp_path / "m.csv"
+        save_matrix_csv(p, m)
+        expected = "".join(",".join(fmt_float(v) for v in row) + "\n" for row in m)
+        assert p.read_bytes() == expected.encode()
+
     def test_rejects_non_finite_on_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_matrix_csv(tmp_path / "bad.csv", np.array([[np.inf]]))

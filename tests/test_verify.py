@@ -138,6 +138,17 @@ class TestSectionRobustness:
         section = _section_trainer_vs_oracle(seed, 4)
         assert section.passed, section.detail
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="one run stops budget-exhausted at 4000 steps short of the oracle",
+    )
+    @pytest.mark.parametrize("seed", (12919219483787288745, 17863825820209203660))
+    def test_still_slow_descent_seeds_reach_the_oracle(self, seed):
+        # Open: one run of each seed is still descending at the 4000-step
+        # budget, 1.8e-2 and 1.6e-4 above the oracle in relative terms.
+        section = _section_trainer_vs_oracle(seed, 4)
+        assert section.passed, section.detail
+
     @pytest.mark.parametrize(
         "status, explained", ((STATUS_CRITICAL, 2), (STATUS_PRECISION, 0))
     )
