@@ -47,6 +47,7 @@ from .oracle import rrr_oracle
 from .optim import STATUS_BUDGET, armijo_gd
 from .perturb import (
     EscapeCertificate,
+    _check_delta,
     escape_construction,
     escape_construction_mirrored,
 )
@@ -143,8 +144,11 @@ def classify(
     escape certificate is constructed on the rank-deficient side; for
     ``REDUCIBLE_FULL_RANK`` :func:`two_layer_reduction` hands back the two
     super layers.  Quadratic losses also get ``oracle_gap``, the loss above
-    the closed-form rank-``d`` optimum, on any data.
+    the closed-form rank-``d`` optimum, on any data.  A ``delta`` that is
+    given but not positive and finite raises ``ValueError`` on every chain,
+    before any work.
     """
+    _check_delta(delta)
     below = prefix_products(chain.factors)
     product = below[-1]
     grad = loss.gradient(product)
@@ -165,7 +169,7 @@ def classify(
 
     oracle_gap = None
     if isinstance(loss, QuadraticLoss):
-        fit = rrr_oracle(loss.inputs, loss.targets, chain.dims.min_width, tols.rank_tol)
+        fit = rrr_oracle(loss.inputs, loss.targets, min(chain.widths), tols.rank_tol)
         oracle_gap = value - fit.loss
 
     escape = None

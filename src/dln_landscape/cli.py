@@ -15,7 +15,6 @@ a loss without a closed-form optimum, and so on).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .perturb import (
 from .storage import (
     certificate_to_dict,
     fmt_float,
+    json_text,
     load_instance,
     load_matrix_csv,
     render_report_text,
@@ -141,15 +141,11 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _emit_payload(args: argparse.Namespace, payload: dict, keys=None) -> int:
     """Emit ``payload`` as JSON, or as ``key: value`` lines in ``keys`` order
     (insertion order by default)."""
     if args.format == "json":
-        _emit(args, _json_dump(payload))
+        _emit(args, json_text(payload))
     else:
         _emit(args, "".join(f"{key}: {payload[key]}\n" for key in keys or payload))
     return EXIT_OK
@@ -191,7 +187,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     chain, loss, _ = load_instance(args.instance)
     report = classify(chain, loss, tols=_tols(args), delta=args.delta)
     if args.format == "json":
-        _emit(args, _json_dump(report_to_dict(report)))
+        _emit(args, json_text(report_to_dict(report)))
     else:
         _emit(args, render_report_text(report))
     return EXIT_OK
@@ -267,7 +263,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise InfeasibleConstructionError(
             "the closed-form optimum is defined for the quadratic loss only"
         )
-    rank = args.rank if args.rank is not None else chain.dims.min_width
+    rank = args.rank if args.rank is not None else min(chain.widths)
     fit = rrr_oracle(loss.inputs, loss.targets, rank, rank_tol)
     current = chain_loss(chain, loss)
     payload = {
@@ -380,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INFEASIBLE as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,9 +42,9 @@ from .linalg import DEFAULT_GRAD_TOL, Tolerances, numerical_rank
 from .network import (
     ConvexLoss,
     FactorChain,
-    DimensionSignature,
     LogCoshLoss,
     QuadraticLoss,
+    interior_bottleneck,
     running_product,
 )
 from .optim import armijo_gd
@@ -110,8 +110,12 @@ class InstanceSpec:
     data_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(w) for w in self.dims))
-        DimensionSignature(self.dims)  # validates widths
+        dims = tuple(int(w) for w in self.dims)
+        object.__setattr__(self, "dims", dims)
+        if len(dims) < 3:
+            raise ValueError(f"need at least 2 layers (3 widths), got {dims}")
+        if any(w < 1 for w in dims):
+            raise ValueError(f"widths must be positive, got {dims}")
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(
                 f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}"
@@ -221,7 +225,7 @@ def _factor_through(
 
 
 def _require_bottleneck(spec: InstanceSpec) -> int:
-    j = DimensionSignature(spec.dims).interior_bottleneck()
+    j = interior_bottleneck(spec.dims)
     if j is None:
         raise InfeasibleConstructionError(
             f"construction {spec.construction!r} needs an interior "
@@ -369,7 +373,7 @@ def train_gd(
     canonical bottleneck cut; chains without an interior bottleneck record
     -1 for both.
     """
-    split_index = chain.dims.interior_bottleneck()
+    split_index = interior_bottleneck(chain.widths)
     k = chain.k
     points: list[TrajectoryPoint] = []
 

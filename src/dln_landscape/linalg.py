@@ -146,10 +146,11 @@ def min_norm_right_solve(a, target, rank_tol: float = DEFAULT_RANK_TOL):
         raise ValueError(
             f"column mismatch: target is {target.shape}, a is {a.shape}"
         )
-    if numerical_rank(a, rank_tol) < a.shape[1]:
+    rank = numerical_rank(a, rank_tol)
+    if rank < a.shape[1]:
         raise RankDeficientLiftError(
             f"cannot lift through shape-{a.shape} factor of numerical rank "
-            f"{numerical_rank(a, rank_tol)} < {a.shape[1]}"
+            f"{rank} < {a.shape[1]}"
         )
     # z @ a = target transposes to a.T @ z.T = target.T, an underdetermined
     # full-rank system for which lstsq returns the minimum-norm solution.

@@ -31,8 +31,8 @@ __all__ = [
     "ShapeMismatchError",
     "NoInteriorBottleneckError",
     "LossContractViolation",
-    "DimensionSignature",
     "FactorChain",
+    "interior_bottleneck",
     "ConvexLoss",
     "QuadraticLoss",
     "LogCoshLoss",
@@ -66,37 +66,6 @@ class LossContractViolation(ValueError):
     """A loss failed its gradient-consistency or convexity spot checks."""
 
 
-@dataclass(frozen=True)
-class DimensionSignature:
-    """Layer widths ``d_0, ..., d_k`` of a chain with ``k >= 2`` factors."""
-
-    widths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        widths = tuple(int(w) for w in self.widths)
-        object.__setattr__(self, "widths", widths)
-        if len(widths) < 3:
-            raise ValueError(f"need at least 2 layers (3 widths), got {widths}")
-        if any(w < 1 for w in widths):
-            raise ValueError(f"widths must be positive, got {widths}")
-
-    @property
-    def k(self) -> int:
-        return len(self.widths) - 1
-
-    @property
-    def min_width(self) -> int:
-        return min(self.widths)
-
-    def interior_bottleneck(self) -> int | None:
-        """Smallest interior index ``0 < j < k`` attaining the minimum width."""
-        d = self.min_width
-        for j in range(1, self.k):
-            if self.widths[j] == d:
-                return j
-        return None
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
@@ -119,6 +88,9 @@ class FactorChain:
                      for i, m in enumerate(self.factors))
         if len(mats) < 2:
             raise ValueError(f"need at least 2 factors, got {len(mats)}")
+        for i, m in enumerate(mats):
+            if m.size == 0:
+                raise ValueError(f"factor {i + 1} is empty, with shape {m.shape}")
         for i in range(1, len(mats)):
             if mats[i].shape[1] != mats[i - 1].shape[0]:
                 raise ShapeMismatchError(
@@ -132,9 +104,9 @@ class FactorChain:
         return len(self.factors)
 
     @property
-    def dims(self) -> DimensionSignature:
-        widths = (self.factors[0].shape[1],) + tuple(m.shape[0] for m in self.factors)
-        return DimensionSignature(widths)
+    def widths(self) -> tuple[int, ...]:
+        """Layer widths ``d_0, ..., d_k``."""
+        return (self.factors[0].shape[1],) + tuple(m.shape[0] for m in self.factors)
 
     def factor(self, layer: int) -> np.ndarray:
         """Layer matrix by 1-based layer number."""
@@ -153,6 +125,16 @@ class FactorChain:
         mats = list(self.factors)
         mats[layer - 1] = new
         return FactorChain(tuple(mats))
+
+
+def interior_bottleneck(widths) -> int | None:
+    """Smallest interior index ``0 < j < k`` of ``widths = (d_0, ..., d_k)``
+    attaining the minimum width, or ``None`` when only a boundary does."""
+    d = min(widths)
+    for j in range(1, len(widths) - 1):
+        if widths[j] == d:
+            return j
+    return None
 
 
 class ConvexLoss(abc.ABC):
@@ -334,7 +316,7 @@ def partial_product(chain: FactorChain, lo: int, hi: int) -> np.ndarray:
     if not (0 <= hi <= k):
         raise IndexError(f"hi must be in 0..{k}, got {hi}")
     if hi < lo:
-        return np.eye(chain.dims.widths[hi])
+        return np.eye(chain.widths[hi])
     return running_product(chain.factors[lo - 1 : hi])
 
 
@@ -345,17 +327,7 @@ def end_to_end(chain: FactorChain) -> np.ndarray:
 
 def chain_loss(chain: FactorChain, loss: ConvexLoss) -> float:
     """Composite objective value at the chain's end-to-end product."""
-    _check_loss_shape(chain, loss)
     return loss.value(end_to_end(chain))
-
-
-def _check_loss_shape(chain: FactorChain, loss: ConvexLoss) -> None:
-    widths = chain.dims.widths
-    if (loss.out_rows, loss.in_cols) != (widths[-1], widths[0]):
-        raise ShapeMismatchError(
-            f"loss expects product shape {(loss.out_rows, loss.in_cols)} but "
-            f"chain produces {(widths[-1], widths[0])}"
-        )
 
 
 def _check_finite_loss(chain: FactorChain, loss: ConvexLoss) -> None:
@@ -378,7 +350,6 @@ def layer_gradients(chain: FactorChain, loss: ConvexLoss) -> list[np.ndarray]:
     Entry ``i - 1`` holds the gradient for layer ``i``, as computed by
     :func:`gradient_core`.
     """
-    _check_loss_shape(chain, loss)
     below = prefix_products(chain.factors)
     grads = gradient_core(chain.factors, below, loss.gradient(below[-1]), range(1, chain.k + 1))
     return list(grads.values())
@@ -405,13 +376,13 @@ class BottleneckSplit:
 
 def make_split(chain: FactorChain, j: int) -> BottleneckSplit:
     """Split ``chain`` at interior index ``j`` (must have minimum width)."""
-    dims = chain.dims
-    if not 0 < j < dims.k:
-        raise ValueError(f"split index must be interior (1..{dims.k - 1}), got {j}")
-    if dims.widths[j] != dims.min_width:
+    widths = chain.widths
+    if not 0 < j < chain.k:
+        raise ValueError(f"split index must be interior (1..{chain.k - 1}), got {j}")
+    if widths[j] != min(widths):
         raise ValueError(
-            f"width at index {j} is {dims.widths[j]}, not the minimum "
-            f"{dims.min_width}; refusing a non-bottleneck split"
+            f"width at index {j} is {widths[j]}, not the minimum "
+            f"{min(widths)}; refusing a non-bottleneck split"
         )
     return BottleneckSplit(
         index=j,
@@ -427,7 +398,7 @@ def bottleneck_split(chain: FactorChain) -> BottleneckSplit | None:
     legitimate outcome (such chains have no spurious local minima to hunt),
     not an error.
     """
-    j = chain.dims.interior_bottleneck()
+    j = interior_bottleneck(chain.widths)
     if j is None:
         return None
     return make_split(chain, j)
@@ -440,7 +411,7 @@ def split_or_raise(chain: FactorChain, split: BottleneckSplit | None = None) -> 
     split = split if split is not None else bottleneck_split(chain)
     if split is None:
         raise NoInteriorBottleneckError(
-            f"chain with widths {chain.dims.widths} has no interior bottleneck"
+            f"chain with widths {chain.widths} has no interior bottleneck"
         )
     return split
 

@@ -34,7 +34,6 @@ from .network import (
     ConvexLoss,
     FactorChain,
     TransposedLoss,
-    end_to_end,
     make_split,
     partial_product,
     prefix_products,
@@ -137,6 +136,12 @@ def default_delta(chain: FactorChain) -> float:
     return 1e-3 * (1.0 + max(float(np.linalg.norm(m)) for m in chain.factors))
 
 
+def _check_delta(delta: float | None) -> None:
+    """Refuse a perturbation scale that is given but not positive and finite."""
+    if delta is not None and not (delta > 0.0 and np.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
 def kernel_family(
     chain: FactorChain,
     split: BottleneckSplit,
@@ -215,16 +220,20 @@ def escape_construction(
     """Certify that a chain with a rank-deficient upper super layer is not a
     local minimum, by perturbing lower layers without changing the loss.
 
-    The construction walks layers ``1..j``.  Let ``V`` be the null space of
-    the convex gradient ``G`` at the end-to-end product.  It finds the first
-    layer index whose partial product has all rows inside ``V``
-    (``containment_start``); everything below already escapes.  At that
-    layer it injects ``w_i v_i^T`` with ``v_i`` proportional to either the
-    most violating row of ``G`` itself (when containment starts at layer 1)
-    or the standard basis vector selecting the most violating row of the
-    perturbed product built so far.  Higher layers are perturbed only if
-    multiplying by the unperturbed factor would push every row back into
-    ``V`` — generically it does not, and their ``v_i`` stays zero.
+    Let ``V`` be the null space of the convex gradient ``G`` at the
+    end-to-end product and ``i0`` (``containment_start``) the first layer
+    whose partial product ``M_i0 ... M_1`` has all rows inside ``V``; when
+    there is none (``i0 = 0``) the lower super layer already escapes and
+    nothing is perturbed.  Otherwise one walk climbs from layer ``i0`` to
+    the cut ``j``, carrying the perturbed product built so far.  At each
+    layer it keeps the unperturbed factor's product if some row stays
+    outside ``V``; if not, it injects ``w_i v_i^T`` with ``v_i`` the
+    standard basis vector, scaled by ``delta``, that selects the most
+    violating row of the product so far.  Layer ``i0`` takes that step by
+    its definition, and higher layers generically do not, so their ``v_i``
+    stays zero.  At ``i0 = 1`` there is no product below to select from:
+    ``v_1`` is ``delta`` times the most violating row of ``G`` itself,
+    normalised, and the walk goes on from layer 2.
 
     Raises :class:`GradientVanishesError` (global minimum — nothing to do),
     :class:`FullRankAboveError` (use the mirrored entry point or accept the
@@ -244,8 +253,7 @@ def escape_construction(
     scale = default_delta(chain)
     if delta is None:
         delta = scale
-    if not (delta > 0.0 and np.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    _check_delta(delta)
     # The escaped super-layer gradient is linear in delta, so its floor is
     # grad_tol at the default scale and shrinks with a smaller delta.
     gradient_floor = tols.grad_tol * min(1.0, delta / scale)
@@ -264,50 +272,42 @@ def escape_construction(
             break
 
     vs: list[np.ndarray] = [np.zeros(chain.factor(i).shape[1]) for i in range(1, j + 1)]
-    if containment_start == 0:
-        # The lower super layer already escapes; certificate needs no
-        # perturbation at all.
-        current = split.below
-    else:
-        i0 = containment_start
-        if i0 == 1:
-            # No escaped rows exist below layer 1; seed the escape with the
-            # most violating row of the gradient itself, which can never lie
-            # in its own null space.
-            row = int(np.argmax(np.linalg.norm(grad, axis=1)))
-            u = grad[row] / np.linalg.norm(grad[row])
-            nonzero = np.nonzero(u)[0]
-            if nonzero.size and u[nonzero[0]] < 0.0:
-                u = -u
-            vs[0] = delta * u
-            current = chain.factor(1) + np.outer(kernels[0], vs[0])
+    first = j + 1  # containment_start 0: the lower super layer already escapes
+    if containment_start == 1:
+        # No escaped rows exist below layer 1; seed the escape with the
+        # most violating row of the gradient itself, which can never lie
+        # in its own null space.
+        row = int(np.argmax(np.linalg.norm(grad, axis=1)))
+        u = grad[row] / np.linalg.norm(grad[row])
+        nonzero = np.nonzero(u)[0]
+        if nonzero.size and u[nonzero[0]] < 0.0:
+            u = -u
+        vs[0] = delta * u
+        current, first = chain.factor(1) + np.outer(kernels[0], vs[0]), 2
+    elif containment_start > 1:
+        # Layer containment_start fails the escape test below by
+        # definition, so the walk perturbs it first.
+        current, first = below[containment_start - 2], containment_start
+    for i in range(first, j + 1):
+        candidate = chain.factor(i) @ current
+        if np.max(_row_scores(candidate, grad)) > member_threshold:
+            current = candidate
         else:
-            current = below[i0 - 2]
             pick = int(np.argmax(_row_scores(current, grad)))
-            vs[i0 - 1] = delta * _basis(current.shape[0], pick)
-            current = chain.factor(i0) @ current + np.outer(
-                kernels[i0 - 1], delta * current[pick]
-            )
-        for i in range(containment_start + 1, j + 1):
-            candidate = chain.factor(i) @ current
-            if np.max(_row_scores(candidate, grad)) > member_threshold:
-                current = candidate
-            else:
-                pick = int(np.argmax(_row_scores(current, grad)))
-                vs[i - 1] = delta * _basis(current.shape[0], pick)
-                current = candidate + np.outer(kernels[i - 1], delta * current[pick])
+            vs[i - 1][pick] = delta
+            current = candidate + np.outer(kernels[i - 1], delta * current[pick])
 
     family = tuple(
         RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
         for i in range(1, j + 1)
     )
     perturbed = apply_family(chain, family)
-    below_tilde = partial_product(perturbed, 1, j)
-    scores = _row_scores(below_tilde, grad)
+    perturbed_below = prefix_products(perturbed.factors)
+    lower, moved = perturbed_below[j - 1], perturbed_below[-1]
+    scores = _row_scores(lower, grad)
     witness_row = int(np.argmax(scores))
-    super_gradient_norm = float(np.linalg.norm(grad @ below_tilde.T))
+    super_gradient_norm = float(np.linalg.norm(grad @ lower.T))
     original_loss = loss.value(product)
-    moved = end_to_end(perturbed)
     loss_delta = (loss.value(moved) if np.all(np.isfinite(moved)) else np.inf) - original_loss
 
     diagnostics = {
@@ -420,24 +420,15 @@ def lift_perturbation(
     the reported norm ratio ``|update| / |target_change|``.
     """
     target = ensure_matrix(target_change, "target_change")
+    if side not in ("above", "below"):
+        raise ValueError(f"side must be 'above' or 'below', got {side!r}")
+    expected = (split.above if side == "above" else split.below).shape
+    if target.shape != expected:
+        raise ValueError(f"target_change must have shape {expected}, got {target.shape}")
     if side == "above":
-        expected = split.above.shape
-        if target.shape != expected:
-            raise ValueError(f"target_change must have shape {expected}, got {target.shape}")
         inner = partial_product(chain, split.index + 1, chain.k - 1)
         update, amplification = min_norm_right_solve(inner, target, rank_tol)
         return chain.k, update, amplification
-    if side == "below":
-        expected = split.below.shape
-        if target.shape != expected:
-            raise ValueError(f"target_change must have shape {expected}, got {target.shape}")
-        inner = partial_product(chain, 2, split.index)
-        update_t, amplification = min_norm_right_solve(inner.T, target.T, rank_tol)
-        return 1, update_t.T, amplification
-    raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-
-
-def _basis(n: int, index: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[index] = 1.0
-    return e
+    inner = partial_product(chain, 2, split.index)
+    update_t, amplification = min_norm_right_solve(inner.T, target.T, rank_tol)
+    return 1, update_t.T, amplification

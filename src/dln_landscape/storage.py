@@ -22,6 +22,7 @@ from .perturb import EscapeCertificate
 
 __all__ = [
     "fmt_float",
+    "json_text",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_instance",
@@ -43,6 +44,12 @@ TRAJECTORY_HEADER = "step,loss,max_grad,rank_A,rank_B"
 def fmt_float(x: float) -> str:
     """Decimal rendering that reconstructs the exact double on parse."""
     return format(float(x), ".17g")
+
+
+def json_text(payload) -> str:
+    """``payload`` as JSON with sorted keys, a two-space indent and a
+    trailing newline: identical objects render to identical bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def save_matrix_csv(path, m) -> None:
@@ -74,9 +81,7 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def _write_manifest(directory: Path, manifest: dict) -> None:
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (directory / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
 
 
 def _read_manifest(directory: Path) -> dict:
@@ -103,8 +108,13 @@ def _member(directory: Path, name) -> Path:
     return directory / name
 
 
-def _factor_files(chain: FactorChain) -> list[str]:
-    return [f"M{i}.csv" for i in range(1, chain.k + 1)]
+def _save_factors(directory: Path, chain: FactorChain) -> dict:
+    """Write one CSV per factor into ``directory``; return the manifest
+    fields that describe them (``k``, ``dims``, ``factors``)."""
+    files = [f"M{i}.csv" for i in range(1, chain.k + 1)]
+    for name, m in zip(files, chain.factors):
+        save_matrix_csv(directory / name, m)
+    return {"k": chain.k, "dims": list(chain.widths), "factors": files}
 
 
 def save_instance(
@@ -117,9 +127,7 @@ def save_instance(
     _check_finite_loss(chain, loss)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = _factor_files(chain)
-    for name, m in zip(files, chain.factors):
-        save_matrix_csv(directory / name, m)
+    factors = _save_factors(directory, chain)
     if isinstance(loss, QuadraticLoss):
         save_matrix_csv(directory / "X.csv", loss.inputs)
         save_matrix_csv(directory / "Y.csv", loss.targets)
@@ -135,13 +143,7 @@ def save_instance(
             f"cannot serialize loss of type {type(loss).__name__}; only the "
             "built-in quadratic and logcosh losses have a file format"
         )
-    manifest = {
-        "format": INSTANCE_FORMAT,
-        "k": chain.k,
-        "dims": list(chain.dims.widths),
-        "factors": files,
-        "loss": loss_block,
-    }
+    manifest = {"format": INSTANCE_FORMAT, **factors, "loss": loss_block}
     if provenance:
         manifest["provenance"] = provenance
     _write_manifest(directory, manifest)
@@ -157,9 +159,9 @@ def load_chain(directory) -> FactorChain:
     if not isinstance(names, list):
         raise ValueError(f"manifest in {directory} lists factors as {names!r}, not a list")
     chain = FactorChain(tuple(load_matrix_csv(_member(directory, n)) for n in names))
-    if list(chain.dims.widths) != dims:
+    if list(chain.widths) != dims:
         raise ValueError(
-            f"manifest dims {dims} disagree with stored factors {list(chain.dims.widths)}"
+            f"manifest dims {dims} disagree with stored factors {list(chain.widths)}"
         )
     return chain
 
@@ -207,15 +209,9 @@ def save_certificate(directory, cert: EscapeCertificate) -> Path:
     """Write the perturbed chain plus the certificate metadata block."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    chain = cert.perturbed_chain
-    files = _factor_files(chain)
-    for name, m in zip(files, chain.factors):
-        save_matrix_csv(directory / name, m)
     manifest = {
         "format": CERTIFICATE_FORMAT,
-        "k": chain.k,
-        "dims": list(chain.dims.widths),
-        "factors": files,
+        **_save_factors(directory, cert.perturbed_chain),
         "metadata": certificate_to_dict(cert),
     }
     _write_manifest(directory, manifest)

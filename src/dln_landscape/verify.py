@@ -19,7 +19,6 @@ run the cores of the sections they share (``_gradient_checks``,
 
 from __future__ import annotations
 
-import json
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,8 +35,8 @@ from .network import (
     QuadraticLoss,
     chain_loss,
     end_to_end,
-    make_split,
     partial_product,
+    split_or_raise,
     validate_loss_contract,
 )
 from .optim import STATUS_CRITICAL, armijo_gd
@@ -45,6 +44,7 @@ from .oracle import finite_diff_gradient, rrr_oracle
 from .perturb import ConstructionFailedError, escape_construction, lift_perturbation
 from .storage import (
     fmt_float,
+    json_text,
     load_matrix_csv,
     load_trajectory_csv,
     save_matrix_csv,
@@ -57,7 +57,6 @@ __all__ = [
     "verify_suite",
     "canonical_plateau",
     "render_verify_text",
-    "verify_report_to_dict",
     "render_verify_json",
 ]
 
@@ -330,7 +329,7 @@ def _lift_outcomes(cases, draw_target):
     ``draw_target(t, spec, shape)`` and how far the edited chain misses it."""
     for t, (spec, side) in enumerate(cases):
         inst = gen_instance(spec)
-        split = make_split(inst.chain, inst.chain.dims.interior_bottleneck())
+        split = split_or_raise(inst.chain)
         shape = split.above.shape if side == "above" else split.below.shape
         target = draw_target(t, spec, shape)
         layer, update, amplification = lift_perturbation(inst.chain, split, target, side=side)
@@ -372,7 +371,7 @@ def _oracle_runs(seeds):
     within 1e-5 relative of it."""
     for inst_seed in seeds:
         inst = gen_instance(InstanceSpec(dims=_TRAINER_DIMS, seed=inst_seed))
-        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, inst.chain.dims.min_width)
+        fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, min(inst.chain.widths))
         result = armijo_gd(
             inst.chain.factors, inst.loss, range(1, inst.chain.k + 1), 4000, DEFAULT_GRAD_TOL
         )
@@ -485,8 +484,7 @@ def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
             problems.extend(_csv_round_trip(m, Path(tmp)))
         checks += 1
 
-        inst = gen_instance(spec)
-        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=3)
+        _, trajectory = train_gd(a.chain, a.loss, max_steps=3)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             save_trajectory_csv(path, trajectory)
@@ -547,26 +545,17 @@ def verify_suite(seed: int = 0, trials: int = 4) -> VerifyReport:
     return VerifyReport(seed=seed, trials=trials, sections=sections)
 
 
-def verify_report_to_dict(report: VerifyReport) -> dict:
-    return {
+def render_verify_json(report: VerifyReport) -> str:
+    return json_text({
         "seed": report.seed,
         "trials": report.trials,
         "passed": report.passed,
         "warning": report.warning,
         "sections": [
-            {
-                "name": s.name,
-                "passed": s.passed,
-                "checks": s.checks,
-                "detail": s.detail,
-            }
+            {"name": s.name, "passed": s.passed, "checks": s.checks, "detail": s.detail}
             for s in report.sections
         ],
-    }
-
-
-def render_verify_json(report: VerifyReport) -> str:
-    return json.dumps(verify_report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    })
 
 
 def render_verify_text(report: VerifyReport) -> str:

@@ -45,7 +45,7 @@ class TestGen:
     def test_writes_loadable_instance(self, tmp_path, capsys):
         out = _gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", "5")
         chain, loss, manifest = load_instance(out)
-        assert chain.dims.widths == (3, 4, 2, 4, 3)
+        assert chain.widths == (3, 4, 2, 4, 3)
         assert manifest["provenance"]["seed"] == 5
         assert "loss: " in capsys.readouterr().out
 
@@ -115,6 +115,16 @@ class TestAnalyze:
         expected, expected_gap = _cut_oracle_gap((directory / stored).read_text(encoding="utf-8"))
         assert out == expected
         assert gap == pytest.approx(expected_gap, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("command", ["analyze", "perturb"])
+    @pytest.mark.parametrize("delta", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_bad_delta_is_usage_error(self, construction, delta, command, capsys):
+        # refused on every label, not only where an escape gets built
+        assert main([command, str(GOLDEN / construction), f"--delta={delta}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: delta must be positive and finite, got {float(delta)!r}\n"
 
     def test_missing_instance_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nowhere")]) == 1

@@ -78,7 +78,7 @@ class TestGenerateGeneric:
         spec = InstanceSpec(dims=(3, 4, 2, 4, 3), seed=5)
         a = gen_instance(spec)
         b = gen_instance(spec)
-        assert a.chain.dims.widths == (3, 4, 2, 4, 3)
+        assert a.chain.widths == (3, 4, 2, 4, 3)
         assert a.loss.inputs.shape == (3, 6)
         assert a.loss.targets.shape == (3, 6)
         for m, n in zip(a.chain.factors, b.chain.factors):

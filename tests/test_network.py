@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dln_landscape.harness import InstanceSpec
 from dln_landscape.network import (
     BottleneckSplit,
-    DimensionSignature,
     FactorChain,
     LogCoshLoss,
     LossContractViolation,
@@ -19,6 +19,7 @@ from dln_landscape.network import (
     make_split,
     partial_product,
     gradient_core,
+    interior_bottleneck,
     prefix_products,
     running_product,
     suffix_products,
@@ -41,10 +42,7 @@ def _random_chain(widths, seed=0) -> FactorChain:
 
 
 class TestDimensionSignature:
-    def test_basic_properties(self):
-        sig = DimensionSignature((3, 4, 2, 4, 3))
-        assert sig.k == 4
-        assert sig.min_width == 2
+    """The widths ``d_0, ..., d_k`` of a chain and its interior bottleneck."""
 
     @pytest.mark.parametrize(
         "widths,expected",
@@ -60,20 +58,20 @@ class TestDimensionSignature:
         ],
     )
     def test_interior_bottleneck(self, widths, expected):
-        assert DimensionSignature(widths).interior_bottleneck() == expected
+        assert interior_bottleneck(widths) == expected
 
     def test_rejects_short_or_nonpositive(self):
-        with pytest.raises(ValueError):
-            DimensionSignature((3, 2))
-        with pytest.raises(ValueError):
-            DimensionSignature((3, 0, 3))
+        with pytest.raises(ValueError, match="at least 2 layers"):
+            InstanceSpec((3, 2))
+        with pytest.raises(ValueError, match="widths must be positive"):
+            InstanceSpec((3, 0, 3))
 
 
 class TestFactorChain:
     def test_shapes_and_indexing(self):
         chain = _random_chain((3, 4, 2))
         assert chain.k == 2
-        assert chain.dims.widths == (3, 4, 2)
+        assert chain.widths == (3, 4, 2)
         assert chain.factor(1).shape == (4, 3)
         assert chain.factor(2).shape == (2, 4)
 
@@ -84,6 +82,11 @@ class TestFactorChain:
     def test_needs_two_factors(self):
         with pytest.raises(ValueError):
             FactorChain((np.ones((2, 2)),))
+
+    @pytest.mark.parametrize("shapes", [((0, 3), (2, 0)), ((4, 3), (0, 4)), ((4, 0), (2, 4))])
+    def test_refuses_an_empty_factor(self, shapes):
+        with pytest.raises(ValueError, match="empty"):
+            FactorChain(tuple(np.ones(shape) for shape in shapes))
 
     def test_factors_are_read_only_copies(self):
         m = np.ones((4, 3))

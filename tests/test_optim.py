@@ -22,6 +22,7 @@ from dln_landscape.network import (
     FactorChain,
     QuadraticLoss,
     chain_loss,
+    interior_bottleneck,
     layer_gradients,
     running_product,
 )
@@ -119,7 +120,7 @@ def _start(dims, construction, loss_kind, seed):
 
 
 def _active_sets(chain):
-    k, cut = chain.k, chain.dims.interior_bottleneck()
+    k, cut = chain.k, interior_bottleneck(chain.widths)
     return {
         "upper": list(range(cut + 1, k + 1)),
         "lower": list(range(1, cut + 1)),

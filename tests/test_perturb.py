@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dln_landscape.harness import InstanceSpec, gen_instance
-from dln_landscape.linalg import RankDeficientLiftError, Tolerances, min_norm_right_solve
+from dln_landscape.linalg import (
+    RankDeficientLiftError,
+    Tolerances,
+    best_rank_approx,
+    min_norm_right_solve,
+)
 from dln_landscape.network import (
     FactorChain,
     QuadraticLoss,
@@ -238,7 +245,53 @@ class TestMirroredConstruction:
         chain = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=9)).chain
         rev = reversed_chain(chain)
         assert np.allclose(end_to_end(rev), end_to_end(chain).T, rtol=1e-13, atol=0)
-        assert rev.dims.widths == chain.dims.widths[::-1]
+        assert rev.widths == chain.widths[::-1]
+
+
+# sha256 over side, containment start, witness row, the ``.hex()`` of delta,
+# super-gradient norm, loss change and original loss, the perturbed factor
+# bytes and every family ``v`` of the certificates in ``_pinned_certificates``,
+# computed while the walk still had a separate first step for a containment
+# start above layer 1.
+PINNED_ESCAPE_DIGEST = "ca02a30c3062102538a72aa51e27f7859e2977eab26a81b429a77b2448b8dc0d"
+
+_PINNED_ESCAPE_DIMS = ((3, 4, 2, 4, 3), (5, 6, 6, 2, 6, 5), (6, 5, 5, 5, 3, 5, 4),
+                       (4, 5, 3, 2, 3, 5, 4))
+
+
+def _pinned_certificates():
+    """Direct and mirrored escapes of constructed plateaus at two scales,
+    then a direct escape of the generic chain whose top factor is cut to
+    rank ``d - 1``, per dims, loss and seed."""
+    for dims in _PINNED_ESCAPE_DIMS:
+        for kind in ("quadratic", "logcosh"):
+            for seed in range(3):
+                inst = _plateau(dims, seed, kind)
+                for build in (escape_construction, escape_construction_mirrored):
+                    for delta in (None, 1e-3):
+                        yield build(inst.chain, inst.loss, delta=delta)
+                generic = gen_instance(InstanceSpec(dims=dims, loss_kind=kind, seed=seed))
+                factors = list(generic.chain.factors)
+                factors[-1] = best_rank_approx(factors[-1], min(dims) - 1)
+                yield escape_construction(FactorChain(tuple(factors)), generic.loss)
+
+
+def test_escape_certificates_match_the_pinned_digest():
+    h = hashlib.sha256()
+    starts = set()
+    for cert in _pinned_certificates():
+        starts.add(cert.containment_start)
+        h.update(f"{cert.side},{cert.containment_start},{cert.witness_row},"
+                 f"{cert.delta.hex()},{cert.super_gradient_norm.hex()},"
+                 f"{cert.loss_delta.hex()},{cert.original_loss.hex()};".encode())
+        for m in cert.perturbed_chain.factors:
+            h.update(m.tobytes())
+        for p in cert.family:
+            h.update(p.v.tobytes())
+    # every branch of the walk is covered: no perturbation, the seeded
+    # first layer, and a first perturbed layer at 2 and at 3
+    assert starts == {0, 1, 2, 3}
+    assert h.hexdigest() == PINNED_ESCAPE_DIGEST
 
 
 class TestLiftPerturbation:

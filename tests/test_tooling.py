@@ -6,7 +6,8 @@ renamed function would otherwise surface only when the traced benchmark
 runs.  The tracer is read as source, not imported, so this test writes
 nothing under ``perfbench/``.  A module's ``__all__`` lists only names that
 module defines, and a public name one module imports from another is in
-the exporter's ``__all__``; the package root re-exports nothing.
+the exporter's ``__all__``; the package root re-exports nothing.  Every
+name a module imports is used in it or listed in its ``__all__``.
 """
 
 import ast
@@ -92,3 +93,21 @@ def test_every_imported_public_name_is_exported():
                     if not alias.name.startswith("_") and alias.name not in exports
                 ]
     assert not unlisted, f"imported but not in the exporter's __all__: {unlisted}"
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used_or_exported():
+    dead = []
+    for stem, tree in _module_trees().items():
+        name = "dln_landscape" if stem == "__init__" else f"dln_landscape.{stem}"
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(importlib.import_module(name).__all__)
+        dead += [f"{stem} imports {n}" for n in _imported_names(tree) if n not in used]
+    assert not dead, f"imported but never used: {dead}"

@@ -25,7 +25,7 @@ from dln_landscape.verify import (
 class TestCanonicalFixture:
     def test_shape_and_exact_values(self):
         chain, loss = canonical_plateau()
-        assert chain.dims.widths == (2, 1, 1, 2)
+        assert chain.widths == (2, 1, 1, 2)
         assert chain_loss(chain, loss) == 2.0
         assert all(np.all(g == 0.0) for g in layer_gradients(chain, loss))
         report = classify(chain, loss)
