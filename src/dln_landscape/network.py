@@ -15,7 +15,10 @@ and the suffix products stop at the lowest layer that is asked for.
 
 The split utilities cut a chain at an interior layer of minimum width into
 the two "super layers" above and below the cut; most of the landscape
-analysis in this package happens at that level.
+analysis in this package happens at that level.  :func:`balance_gauge`
+moves a chain, at the same product, to the gauge at that cut where the two
+super layers' Gram matrices are equal, where ``verify`` starts (and every
+25 steps restarts) its oracle and restart descents.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ensure_matrix
+from .linalg import DEFAULT_INVARIANCE_TOL, ensure_matrix, numerical_rank
 
 __all__ = [
     "ShapeMismatchError",
@@ -49,6 +52,7 @@ __all__ = [
     "make_split",
     "bottleneck_split",
     "split_or_raise",
+    "balance_gauge",
     "validate_loss_contract",
 ]
 
@@ -414,6 +418,69 @@ def split_or_raise(chain: FactorChain, split: BottleneckSplit | None = None) -> 
             f"chain with widths {chain.widths} has no interior bottleneck"
         )
     return split
+
+
+def _sqrt_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``S^{1/2}`` and ``S^{-1/2}`` of a symmetric matrix from one ``eigh``,
+    or ``None`` unless ``S`` is finite and every eigenvalue is positive."""
+    if not np.isfinite(s).all():
+        return None
+    w, v = np.linalg.eigh(s)
+    if not w[0] > 0.0:
+        return None
+    r = np.sqrt(w)
+    return (v * r) @ v.T, (v / r) @ v.T
+
+
+def balance_gauge(factors) -> list[np.ndarray]:
+    """The chain ``factors`` moved to the balanced gauge at its bottleneck cut.
+
+    With ``j`` the :func:`interior_bottleneck`, ``A = M_k ... M_{j+1}`` the
+    upper and ``B = M_j ... M_1`` the lower super layer, the product does not
+    change under ``M_j -> G M_j``, ``M_{j+1} -> M_{j+1} G^{-1}`` for any
+    invertible d x d ``G``, but descent speed does: along a direction where
+    one super layer is weak the gradient is tiny.  ``G = X^{1/2}``, with
+    ``X`` the matrix geometric mean of ``(B B^T)^{-1}`` and ``A^T A``, makes
+    the two Gram matrices equal, ``G B B^T G = G^{-1} A^T A G^{-1}``; it takes
+    three ``eigh`` of d x d matrices.  Approximate balance is what gives
+    descent on deep linear chains linear convergence (Arora, Cohen, Golowich
+    & Hu 2019).  Gradient flow keeps the balance it starts with (Du, Hu &
+    Lee 2018), but large discrete steps need not, so a long descent may
+    return to this gauge more than once.
+
+    Returns a list of the input arrays, unchanged, when the chain has no
+    interior bottleneck, either super layer has numerical rank below ``d``,
+    anything comes out non-finite, or the gauged product moves by more than
+    ``DEFAULT_INVARIANCE_TOL * (1 + |W|_F)``.
+    """
+    mats = list(factors)
+    j = interior_bottleneck((mats[0].shape[1],) + tuple(m.shape[0] for m in mats))
+    if j is None:
+        return mats
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper, lower = running_product(mats[j:]), running_product(mats[:j])
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            return mats
+        d = lower.shape[0]
+        if numerical_rank(upper) < d or numerical_rank(lower) < d:
+            return mats
+        lower_gram = _sqrt_pair(lower @ lower.T)
+        if lower_gram is None:
+            return mats
+        half, inv_half = lower_gram
+        middle = _sqrt_pair(half @ (upper.T @ upper) @ half)
+        if middle is None:
+            return mats
+        gauge = _sqrt_pair(inv_half @ middle[0] @ inv_half)
+        if gauge is None:
+            return mats
+        gauged = list(mats)
+        gauged[j - 1] = gauge[0] @ mats[j - 1]
+        gauged[j] = mats[j] @ gauge[1]
+        product = running_product(mats)
+        drift = float(np.linalg.norm(running_product(gauged) - product))
+        bound = DEFAULT_INVARIANCE_TOL * (1.0 + float(np.linalg.norm(product)))
+    return gauged if drift <= bound else mats
 
 
 # Loss-contract spot checks: number of probes, relative and absolute

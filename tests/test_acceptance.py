@@ -27,6 +27,7 @@ from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import InstanceSpec, gen_instance, stream
 from dln_landscape.linalg import best_rank_approx
 from dln_landscape.network import (
+    FactorChain,
     QuadraticLoss,
     bottleneck_split,
     chain_loss,
@@ -248,12 +249,12 @@ def test_acceptance_6_gradient_descent_reaches_the_oracle():
     near = 0
     unexplained = []
     worst_rel = 0.0
-    for i, run in enumerate(_oracle_runs(seeds)):
-        trained, loss, status, final, oracle, is_near = run
+    for i, (loss, result, oracle, is_near) in enumerate(_oracle_runs(seeds)):
+        final = result.loss
         worst_rel = max(worst_rel, (final - oracle) / (1.0 + abs(oracle)))
         near += is_near
-        if status == STATUS_CRITICAL and final > oracle + 1e-3 * (1.0 + abs(oracle)):
-            label = classify(trained, loss).label
+        if result.status == STATUS_CRITICAL and final > oracle + 1e-3 * (1.0 + abs(oracle)):
+            label = classify(FactorChain(tuple(result.factors)), loss).label
             if label not in (
                 Classification.ESCAPABLE_PLATEAU,
                 Classification.REDUCIBLE_FULL_RANK,
