@@ -135,10 +135,12 @@ def _rank_tol(args: argparse.Namespace) -> float:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    sys.stdout.write(text)
+    """Write ``text`` to the ``--out`` report file, if any, then to stdout, so
+    a refused file write leaves stdout empty."""
     out = getattr(args, "out_report", None)
     if out:
         Path(out).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _emit_payload(args: argparse.Namespace, payload: dict, keys=None) -> int:

@@ -352,7 +352,9 @@ def train_gd(
     The trainer for callers that read the trajectory (``dln train`` and the
     round-trip section of ``verify``); callers that need only the final
     chain, loss and status call ``optim.armijo_gd`` directly, which skips
-    the two rank SVDs that recording costs per step.
+    the two ``numerical_rank`` calls that recording costs per step (each a
+    Gram Cholesky for a super layer of full rank at least 8 wide, an SVD
+    otherwise).
 
     ``train_gd(chain, loss, max_steps=TRAIN_MAX_STEPS, stop_grad_tol=
     DEFAULT_GRAD_TOL, rank_tol=DEFAULT_RANK_TOL)`` returns the trained chain

@@ -5,6 +5,11 @@ relative tolerance convention: a singular value counts as nonzero when it
 exceeds ``rank_tol`` times the largest singular value of the same matrix.
 All tolerances live in :class:`Tolerances` so callers can thread one object
 through an entire analysis.
+
+The SVD is the one definition of rank.  :func:`numerical_rank` first tries a
+Cholesky factorisation of the shifted Gram matrix, which certifies full rank
+far above the cutoff, and runs the SVD only when that certificate fails; the
+integer it returns is the SVD's either way.
 """
 
 from __future__ import annotations
@@ -30,6 +35,17 @@ DEFAULT_RANK_TOL = 1e-9
 DEFAULT_GRAD_TOL = 1e-8
 DEFAULT_INVARIANCE_TOL = 1e-9
 DEFAULT_SUBSPACE_TOL = 1e-8
+
+_EPS = np.finfo(np.float64).eps
+# The full-rank certificate of ``numerical_rank``: its shift is
+# ``max((_CERT_MARGIN * rank_tol)**2, _CERT_ROUNDING * n * eps) * trace(G)``,
+# it trusts Gram traces in ``[_GRAM_FLOOR, _GRAM_CEIL]`` only, and it runs on
+# matrices at least ``_CERT_MIN_WIDTH`` wide.
+_CERT_MARGIN = 1e3
+_CERT_ROUNDING = 100.0
+_GRAM_FLOOR = np.finfo(np.float64).tiny / _EPS**2
+_GRAM_CEIL = np.finfo(np.float64).max * _EPS**2
+_CERT_MIN_WIDTH = 8
 
 
 class FullColumnRankError(ValueError):
@@ -83,8 +99,53 @@ def numerical_rank(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above ``rank_tol`` relative to the largest one.
 
     A matrix whose largest singular value is exactly zero has rank 0.
+
+    The count is that of the SVD, but a matrix of full rank well above the
+    cutoff skips the SVD.  For ``m`` of shape ``(r, c)`` with
+    ``p = min(r, c) >= 8`` and ``n = max(r, c)``, the p x p Gram matrix ``G``
+    (``m.T @ m`` or ``m @ m.T``) is shifted by
+    ``tau = max((1e3 * rank_tol)**2, 100 * n * eps) * trace(G)`` and handed
+    to Cholesky.  Rounding moves the computed ``G`` by at most about
+    ``n * eps * trace(G)``, and a Cholesky that completes is exact for a
+    matrix within ``(p + 1) * eps * trace(G)`` of its input (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10): each about
+    ``tau / 100``.  So success proves ``sigma_min**2 >= 0.98 * tau``, and
+    since ``trace(G) >= sigma_max**2``, ``sigma_min >= 0.99 * max(1e3 *
+    rank_tol, sqrt(100 * n * eps)) * sigma_max``: 990 times the cutoff, and
+    at least ``3e-7 * sigma_max`` when ``rank_tol`` is tinier, eight orders
+    above the SVD's own ``O(p * eps * sigma_max)`` error.  The SVD would
+    count all ``p`` values, and ``p`` is returned.  Everything else falls
+    through to the SVD: a failed factorisation, a shift not below
+    ``trace(G)`` (``rank_tol >= 1e-3``, or not finite), a trace outside
+    ``[tiny / eps**2, max * eps**2]`` where Gram entries may underflow or
+    overflow, and every matrix narrower than 8: timed on one x86_64 core,
+    the certificate there saved at most 2 us against an 11-16 us SVD on
+    full-rank input and cost 11 us more on rank-deficient input.
     """
-    return _rank_of_spectrum(np.linalg.svd(ensure_matrix(m), compute_uv=False), rank_tol)
+    m = ensure_matrix(m)
+    p = min(m.shape)
+    if p >= _CERT_MIN_WIDTH and _full_rank_certified(m, rank_tol):
+        return p
+    return _rank_of_spectrum(np.linalg.svd(m, compute_uv=False), rank_tol)
+
+
+def _full_rank_certified(m: np.ndarray, rank_tol: float) -> bool:
+    """Cholesky of the shifted Gram matrix succeeds (see ``numerical_rank``)."""
+    rows, cols = m.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.T @ m if rows >= cols else m @ m.T
+        trace = gram.trace()
+        margin = _CERT_MARGIN * rank_tol
+        # A NaN rank_tol stays NaN through max() only as its first argument.
+        shift = max(margin * margin, _CERT_ROUNDING * max(rows, cols) * _EPS) * trace
+    if not (_GRAM_FLOOR <= trace <= _GRAM_CEIL and shift < trace):
+        return False
+    gram.flat[:: gram.shape[0] + 1] -= shift
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _rank_of_spectrum(s: np.ndarray, rank_tol: float) -> int:

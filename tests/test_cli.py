@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -240,6 +241,14 @@ class TestLift:
         assert main(["lift", str(inst), "--target", str(target_file)]) == 3
 
 
+# sha256 over the stdout of ``dln gen`` and ``dln train --max-steps 50`` on
+# a generic 10,12,8,12,10 chain, then the name, size and bytes of ``traj.csv``
+# and of each ``--final-dir`` file in name order.  The super layers at the
+# cut are 10x8 and 8x10, wide enough that ``numerical_rank`` settles every
+# recorded rank with its full-rank certificate instead of an SVD.
+PINNED_TRAIN_DIGEST = "ae3cdd9ced88d9b73a59e980039ac175767f0515fc937635ee3abe0004abf44c"
+
+
 class TestTrain:
     def test_trajectory_and_final_dir(self, tmp_path, capsys):
         inst = _gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", "4")
@@ -265,6 +274,17 @@ class TestTrain:
         reloaded_loss = chain_loss(trained, loss)
         assert abs(reloaded_loss - float(payload["loss"])) <= 1e-12 * (1.0 + reloaded_loss)
 
+
+    def test_outputs_match_the_pinned_digest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--dims", "10,12,8,12,10", "--seed", "3", "--out", "inst"]) == 0
+        assert main(["train", "inst", "--max-steps", "50", "--out", "traj.csv",
+                     "--final-dir", "trained"]) == 0
+        h = hashlib.sha256(capsys.readouterr().out.encode())
+        for path in [Path("traj.csv"), *sorted(Path("trained").iterdir())]:
+            h.update(f"{path.name}:{path.stat().st_size};".encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == PINNED_TRAIN_DIGEST
 
     def test_negative_max_steps_exits_1(self, tmp_path, capsys):
         inst = _gen(tmp_path, "inst", "--dims", "3,2,3")
@@ -440,3 +460,16 @@ def test_overflow_is_refused_with_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ("analyze", "verify"))
+def test_report_to_a_missing_directory_exits_1_before_stdout(tmp_path, capsys, command):
+    if command == "analyze":
+        argv = ["analyze", str(_gen(tmp_path, "inst", "--dims", "3,4,2,4,3", "--seed", "2"))]
+    else:
+        argv = ["verify", "--trials", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "missing" / "report.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "missing" in captured.err

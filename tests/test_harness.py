@@ -17,15 +17,20 @@ from dln_landscape.harness import (
     stream,
     train_gd,
 )
-from dln_landscape.linalg import numerical_rank
+from dln_landscape.linalg import _rank_of_spectrum, numerical_rank
 from dln_landscape.network import (
     bottleneck_split,
     chain_loss,
     end_to_end,
     layer_gradients,
+    running_product,
 )
 from dln_landscape.oracle import rrr_oracle
 from dln_landscape.verify import canonical_plateau
+
+
+def _svd_rank(m) -> int:
+    return _rank_of_spectrum(np.linalg.svd(m, compute_uv=False), 1e-9)
 
 
 class TestStream:
@@ -253,11 +258,33 @@ class TestTrainGD:
         _, trajectory = train_gd(inst.chain, inst.loss, max_steps=3)
         assert all(p.rank_above == -1 and p.rank_below == -1 for p in trajectory.points)
 
-    def test_trajectory_ranks_at_canonical_split(self):
-        inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=11))
-        _, trajectory = train_gd(inst.chain, inst.loss, max_steps=3)
-        assert trajectory.points[0].rank_above == 2
-        assert trajectory.points[0].rank_below == 2
+    def test_trajectory_ranks_at_canonical_split(self, monkeypatch):
+        # Every recorded rank matches an SVD recount of that state's super
+        # layers: at a 2-wide cut (ranks by SVD) and at an 8-wide one (by the
+        # full-rank certificate).
+        states = []
+        descend = dln_landscape.harness.armijo_gd
+
+        def keeping_states(**kwargs):
+            record = kwargs["on_state"]
+
+            def both(step, factors, value, max_grad):
+                states.append([m.copy() for m in factors])
+                record(step, factors, value, max_grad)
+
+            return descend(**{**kwargs, "on_state": both})
+
+        monkeypatch.setattr(dln_landscape.harness, "armijo_gd", keeping_states)
+        for dims, width in (((3, 4, 2, 4, 3), 2), ((10, 12, 8, 12, 10), 8)):
+            states.clear()
+            inst = gen_instance(InstanceSpec(dims=dims, seed=11))
+            _, trajectory = train_gd(inst.chain, inst.loss, max_steps=20)
+            assert trajectory.points[0].rank_above == width
+            assert trajectory.points[0].rank_below == width
+            assert len(states) == len(trajectory.points) == 21
+            for point, factors in zip(trajectory.points, states):
+                assert point.rank_above == _svd_rank(running_product(factors[2:]))
+                assert point.rank_below == _svd_rank(running_product(factors[:2]))
 
 
 class TestTrainGDGuards:

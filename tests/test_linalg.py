@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dln_landscape.linalg import (
     FullColumnRankError,
@@ -9,6 +11,7 @@ from dln_landscape.linalg import (
     best_rank_approx,
     ensure_matrix,
     kernel_vector,
+    _rank_of_spectrum,
     min_norm_right_solve,
     numerical_rank,
 )
@@ -16,6 +19,74 @@ from dln_landscape.linalg import (
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _count_svd(monkeypatch) -> list:
+    """Patch ``np.linalg.svd`` to log the keyword arguments of every call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _svd_rank(m, rank_tol: float) -> int:
+    return _rank_of_spectrum(np.linalg.svd(m, compute_uv=False), rank_tol)
+
+
+_SHAPES = {
+    "row": lambda p, n: (1, n),
+    "column": lambda p, n: (n, 1),
+    "tall": lambda p, n: (n, p),
+    "wide": lambda p, n: (p, n),
+    "square": lambda p, n: (p, p),
+}
+
+
+@st.composite
+def _rank_cases(draw, layouts=tuple(_SHAPES), min_width=1, max_exponent=300):
+    """A matrix scaled by ``10**[-max_exponent, max_exponent]`` and a
+    ``rank_tol`` in ``[1e-16, 0.5]``.
+
+    ``sigma_min / sigma_max`` is planted within ``10**±3`` of a cutoff: the
+    SVD's, ``rank_tol``, or the certificate's, about ``1e3 * rank_tol`` and
+    never below ``3e-7``.  A ``duplicate`` case then copies one row or
+    column onto another, so the rank drops by one exactly; a ``zero`` case
+    is the zero matrix.
+    """
+    layout = draw(st.sampled_from(layouts))
+    kind = draw(st.sampled_from(("svd cutoff", "certificate cutoff", "duplicate", "zero")))
+    scale = 10.0 ** draw(st.integers(-max_exponent, max_exponent))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(rng.integers(min_width, 17))
+    shape = _SHAPES[layout](p, int(rng.integers(p, 2 * p + 5)))
+    rank_tol = 10.0 ** rng.uniform(-16.0, np.log10(0.5))
+    if kind == "zero":
+        return np.zeros(shape), rank_tol
+    cutoff = rank_tol if kind == "svd cutoff" else max(1e3 * rank_tol, 3e-7)
+    log_ratio = min(np.log10(cutoff) + rng.uniform(-3.0, 3.0), 0.0)
+    width = min(shape)
+    s = np.sort(10.0 ** rng.uniform(log_ratio, 0.0, width))[::-1]
+    s[0], s[-1] = 1.0, 10.0**log_ratio if width > 1 else 1.0
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], width)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], width)))
+    m = (u * s) @ v.T * scale
+    if kind == "duplicate" and width > 1:
+        if shape[0] >= shape[1]:
+            m[:, -1] = m[:, 0]
+        else:
+            m[-1] = m[0]
+    return m, rank_tol
+
+
+def _assert_svd_count(m, rank_tol: float) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert numerical_rank(m, rank_tol) == _svd_rank(m, rank_tol)
 
 
 class TestTolerances:
@@ -77,6 +148,21 @@ class TestNumericalRank:
         assert numerical_rank(m, rank_tol=1e-5) == 2
         m = np.diag([1e6, 1e-1])
         assert numerical_rank(m, rank_tol=1e-3) == 1
+
+    @settings(max_examples=400)
+    @given(_rank_cases())
+    def test_count_is_the_svd_count(self, case):
+        _assert_svd_count(*case)
+
+    # At least 8 wide and at moderate scale, every case runs the certificate.
+    @settings(max_examples=400)
+    @given(_rank_cases(layouts=("tall", "wide", "square"), min_width=8, max_exponent=30))
+    def test_certified_count_is_the_svd_count(self, case):
+        _assert_svd_count(*case)
+
+    @pytest.mark.parametrize("rank_tol", (0.0, -1e-9, 1e-3, 0.5, 2.0, 1e300, np.inf, np.nan))
+    def test_out_of_range_tolerances_keep_the_svd_count(self, rank_tol):
+        _assert_svd_count(_rng(3).standard_normal((12, 9)), rank_tol)
 
     @given(st.integers(0, 2**32 - 1))
     def test_orthogonal_invariance(self, seed):
@@ -220,17 +306,27 @@ class TestBestRankApprox:
             assert abs(resid - expected) <= 1e-10 * (1.0 + expected)
 
 
+class TestNumericalRankCost:
+    @pytest.mark.parametrize("shape", [(128, 64), (64, 128)])
+    def test_full_rank_takes_no_svd(self, monkeypatch, shape):
+        calls = _count_svd(monkeypatch)
+        assert numerical_rank(_rng(5).standard_normal(shape)) == 64
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("shape", [(128, 64), (64, 128)])
+    def test_rank_deficient_takes_one_svd(self, monkeypatch, shape):
+        calls = _count_svd(monkeypatch)
+        m = _rng(5).standard_normal(shape)
+        m[:, -1] = m[:, 0]
+        m[-1] = m[0]
+        assert numerical_rank(m) == 63
+        assert len(calls) == 1
+
+
 class TestKernelVectorCost:
     @pytest.mark.parametrize("shape", [(2, 4), (4, 3), (3, 3)])
     def test_one_svd_per_call(self, monkeypatch, shape):
-        calls = []
-        svd = np.linalg.svd
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls = _count_svd(monkeypatch)
         m = _rng(5).standard_normal(shape)
         m[:, -1] = m[:, 0]  # guarantee a kernel direction
         w = kernel_vector(m)
