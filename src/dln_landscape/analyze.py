@@ -150,10 +150,8 @@ def classify(
     """
     _check_delta(delta)
     below = prefix_products(chain.factors)
-    product = below[-1]
-    grad = loss.gradient(product)
+    value, grad = loss.value_and_gradient(below[-1])
     grads = gradient_core(chain.factors, below, grad, range(1, chain.k + 1))
-    value = loss.value(product)
     grad_norms = tuple(float(np.linalg.norm(g)) for g in grads.values())
     convex_norm = float(np.linalg.norm(grad))
 

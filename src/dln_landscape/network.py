@@ -146,12 +146,16 @@ class ConvexLoss(abc.ABC):
 
     Implementations expose the shape they accept (``out_rows`` x ``in_cols``)
     plus ``value`` and ``gradient``.  These check the product (a finite 2-D
-    array of that shape) and then call the unchecked cores ``_value`` and
-    ``_gradient``, which subclasses implement.  The descent loop of
-    ``optim`` calls the cores directly: it checks the shape once per call
-    through ``value`` and the finiteness of every product it builds.  The
-    contract — gradient consistent with central finite differences,
-    midpoint convexity — is spot-checkable via
+    array of that shape), map it to a residual with ``_residual`` and hand
+    that to the unchecked cores ``_value`` and ``_gradient``.  A subclass
+    implements the two cores, both functions of the residual; it may
+    override ``_residual``, which defaults to the identity, with the part of
+    the work the two share, so that a caller that needs both at one product
+    (:meth:`value_and_gradient`, the descent loop of ``optim``) builds it
+    once.  The descent loop calls ``_residual`` and the cores directly: it
+    checks the shape once per call and the finiteness of every product it
+    builds.  The contract — gradient consistent with central finite
+    differences, midpoint convexity — is spot-checkable via
     :func:`validate_loss_contract`.
     """
 
@@ -159,17 +163,25 @@ class ConvexLoss(abc.ABC):
     in_cols: int
 
     def value(self, w: np.ndarray) -> float:
-        return self._value(self._check_shape(w))
+        return self._value(self._residual(self._check_shape(w)))
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        return self._gradient(self._check_shape(w))
+        return self._gradient(self._residual(self._check_shape(w)))
+
+    def value_and_gradient(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(value(w), gradient(w))`` from one shape check and one residual."""
+        r = self._residual(self._check_shape(w))
+        return self._value(r), self._gradient(r)
+
+    def _residual(self, w: np.ndarray) -> np.ndarray:
+        return w
 
     @abc.abstractmethod
-    def _value(self, w: np.ndarray) -> float:
+    def _value(self, r: np.ndarray) -> float:
         raise NotImplementedError
 
     @abc.abstractmethod
-    def _gradient(self, w: np.ndarray) -> np.ndarray:
+    def _gradient(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _check_shape(self, w: np.ndarray) -> np.ndarray:
@@ -184,8 +196,9 @@ class ConvexLoss(abc.ABC):
 class QuadraticLoss(ConvexLoss):
     """Squared Frobenius data-fitting loss ``|W X - Y|_F^2``.
 
-    ``inputs`` is ``d_0 x n`` and ``targets`` is ``d_k x n``.
-    The gradient is ``2 (W X - Y) X^T``.
+    ``inputs`` is ``d_0 x n`` and ``targets`` is ``d_k x n``.  The residual
+    is ``R = W X - Y``; the value is ``|R|_F^2`` and the gradient
+    ``2 R X^T``.
     """
 
     def __init__(self, inputs, targets) -> None:
@@ -199,12 +212,14 @@ class QuadraticLoss(ConvexLoss):
         self.out_rows = self.targets.shape[0]
         self.in_cols = self.inputs.shape[0]
 
-    def _value(self, w: np.ndarray) -> float:
-        r = w @ self.inputs - self.targets
+    def _residual(self, w: np.ndarray) -> np.ndarray:
+        return w @ self.inputs - self.targets
+
+    def _value(self, r: np.ndarray) -> float:
         return float((r * r).sum())
 
-    def _gradient(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * (w @ self.inputs - self.targets) @ self.inputs.T
+    def _gradient(self, r: np.ndarray) -> np.ndarray:
+        return (2.0 * r) @ self.inputs.T
 
 
 class LogCoshLoss(ConvexLoss):
@@ -237,8 +252,9 @@ class TransposedLoss(ConvexLoss):
     """View of a loss acting on the transposed product, ``g(W) = f(W^T)``.
 
     Convexity and differentiability carry over; the gradient is
-    ``f'(W^T)^T``.  Used to analyse the upper super layer of a chain with
-    the machinery written for the lower one.
+    ``f'(W^T)^T``.  The residual is the base loss's residual at ``W^T``.
+    Used to analyse the upper super layer of a chain with the machinery
+    written for the lower one.
     """
 
     def __init__(self, base: ConvexLoss) -> None:
@@ -246,11 +262,14 @@ class TransposedLoss(ConvexLoss):
         self.out_rows = base.in_cols
         self.in_cols = base.out_rows
 
-    def _value(self, w: np.ndarray) -> float:
-        return self.base._value(w.T)
+    def _residual(self, w: np.ndarray) -> np.ndarray:
+        return self.base._residual(w.T)
 
-    def _gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.base._gradient(w.T).T
+    def _value(self, r: np.ndarray) -> float:
+        return self.base._value(r)
+
+    def _gradient(self, r: np.ndarray) -> np.ndarray:
+        return self.base._gradient(r).T
 
 
 def running_product(mats) -> np.ndarray:
@@ -339,11 +358,10 @@ def _check_finite_loss(chain: FactorChain, loss: ConvexLoss) -> None:
     is not finite: every analysis of it would run on inf and NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = end_to_end(chain)
-        finite = (
-            np.all(np.isfinite(product))
-            and np.isfinite(loss.value(product))
-            and np.all(np.isfinite(loss.gradient(product)))
-        )
+        finite = np.all(np.isfinite(product))
+        if finite:
+            value, grad = loss.value_and_gradient(product)
+            finite = np.isfinite(value) and np.all(np.isfinite(grad))
     if not finite:
         raise ValueError("the loss or its gradient at the end-to-end product overflows")
 

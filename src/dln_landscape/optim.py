@@ -13,7 +13,10 @@ step builds no chain objects.  The layers below the lowest active one never
 change, so their product is built once per call and heads the chain the
 loop works on: a line-search trial's forward products cover only the active
 block and the layers above it, and the next gradient reuses the accepted
-trial's.
+trial's.  Each trial also builds the loss's residual once (``W X - Y`` for
+the quadratic loss), for its value; the next gradient takes the accepted
+trial's residual, so an accepted step forms the end-to-end product and its
+residual once.
 """
 
 from __future__ import annotations
@@ -81,8 +84,10 @@ def armijo_gd(
     lowest active one up, headed by the product of the frozen layers below;
     its intermediates are the prefix products that the next step's gradient
     reuses when the trial is accepted, so a gradient builds only the suffix
-    products.  The loss's shape is checked once, by ``loss.value`` at the
-    start; the loop then calls ``loss._value`` and ``loss._gradient``.
+    products.  The loss's shape is checked once, at the start; the loop then
+    builds one ``loss._residual`` per finite trial product, takes the
+    trial's value from it with ``loss._value``, and the next gradient from
+    the accepted trial's with ``loss._gradient``.
     The first trial of each line search is the Barzilai–Borwein step
     ``sᵀs / sᵀy`` of the last accepted step.  With ``s = -t·g_prev`` and
     ``y = g - g_prev`` that is ``t·‖g_prev‖² / (‖g_prev‖² - ⟨g_prev, g⟩)``,
@@ -122,13 +127,15 @@ def armijo_gd(
     shift = lo - 1 - len(head)
     positions = [i - shift for i in active]  # the active layers in the block
     below = prefix_products(head + current[lo - 1 :])
-    value = loss.value(below[-1])  # the one shape check of the call
+    residual = loss._residual(loss._check_shape(below[-1]))  # the one shape check
+    value = loss._value(residual)
     t = STEP_INIT
     last = None  # the last accepted step's gradients and their squared norm
     steps = 0
     while True:
-        # The forward products are the accepted trial's (or the start's).
-        grad = loss._gradient(below[-1])
+        # The forward products and the residual are the accepted trial's (or
+        # the start's).
+        grad = loss._gradient(residual)
         grads = gradient_core(head + current[lo - 1 :], below, grad, positions)
         max_grad = max(_norm(g) for g in grads.values())
         if on_state is not None:
@@ -155,7 +162,11 @@ def armijo_gd(
                     trial[i - 1] = current[i - 1] - t * grads[i - shift]
                 trial_below = prefix_products(head + trial[lo - 1 :])
                 product = trial_below[-1]
-                trial_value = loss._value(product) if np.isfinite(product).all() else np.inf
+                if np.isfinite(product).all():
+                    trial_residual = loss._residual(product)
+                    trial_value = loss._value(trial_residual)
+                else:
+                    trial_value = np.inf
                 if trial_value <= value - ARMIJO_C * t * squared:
                     break
                 t *= BACKTRACK
@@ -165,7 +176,8 @@ def armijo_gd(
         if trial_value == value:
             status = STATUS_PRECISION
             break
-        current, below, value, last = trial, trial_below, trial_value, (grads, squared)
+        current, below, residual, value = trial, trial_below, trial_residual, trial_value
+        last = grads, squared
         steps += 1
     return GDResult(
         factors=current, loss=value, status=status, steps=steps, max_grad=max_grad

@@ -6,11 +6,22 @@ the entries that were written.  Manifests are JSON with sorted keys and a
 fixed layout, so identical objects serialize to identical bytes.  Non-finite
 values, and instances whose loss or convex gradient is not finite, are
 rejected on both paths, before anything is written.
+
+Matrix files are read by ``numpy.loadtxt``, whose C parser converts each
+field with ``PyOS_string_to_double``, the correctly rounded conversion
+behind ``float()``, so an entry reads back as the same double.  It splits
+lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, skips empty lines, and strips
+whitespace around a field.  A refusal is one ``ValueError`` line that names
+the file: a file with no rows (empty or blank lines only), ragged rows, a
+line of whitespace only in a file with rows, non-finite entries, and any
+field that is not an ASCII decimal number (``1_0``, non-ASCII digits, or a
+``\\v`` or ``\\f`` that ``str.splitlines`` would take for a line break).
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,17 +78,43 @@ def save_matrix_csv(path, m) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
+    """The matrix stored at ``path``, parsed by numpy's C reader.
+
+    A refusal is a ``ValueError`` whose one-line message names the file.
+    """
+    # An open file, not the path: numpy's path handling costs more than the
+    # parse of a small matrix.
+    with open(path, encoding="utf-8") as f, warnings.catch_warnings():
+        # An empty or blank-only file parses to no rows, which numpy warns
+        # about; the refusal below says so instead.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            m = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_refusal(path, exc)) from None
+    if m.size == 0:
         raise ValueError(f"{path} holds no matrix rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path} has ragged rows")
-    m = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path} contains non-finite entries")
     return m
+
+
+def _refusal(path, exc: ValueError) -> str:
+    """Why numpy refused ``path``, on the lines it reads (split at ``\\n``,
+    ``\\r\\n`` or ``\\r`` only): no rows, rows of different lengths, a line of
+    whitespace only, or else numpy's own reason."""
+    if isinstance(exc, UnicodeError):
+        return f"{path} is not UTF-8 text: {exc}"
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    rows = [line.split(",") for line in lines if line.strip()]
+    if not rows:
+        return f"{path} holds no matrix rows"
+    if any(len(r) != len(rows[0]) for r in rows):
+        return f"{path} has ragged rows"
+    blank = next((n for n, line in enumerate(lines, 1) if line and not line.strip()), None)
+    if blank is not None:
+        return f"{path} line {blank} holds only whitespace"
+    return f"{path}: {exc}"
 
 
 def _write_manifest(directory: Path, manifest: dict) -> None:
@@ -153,7 +190,12 @@ def save_instance(
 def load_chain(directory) -> FactorChain:
     """Read just the factor chain from any manifest that lists factors."""
     directory = Path(directory)
-    manifest = _read_manifest(directory)
+    return _load_factors(directory, _read_manifest(directory))
+
+
+def _load_factors(directory: Path, manifest: dict) -> FactorChain:
+    """The chain of the factor files that ``manifest`` lists, checked
+    against its ``dims``."""
     names = _field(manifest, "factors", directory)
     dims = _field(manifest, "dims", directory)
     if not isinstance(names, list):
@@ -174,7 +216,7 @@ def load_instance(directory) -> tuple[FactorChain, ConvexLoss, dict]:
         raise ValueError(
             f"{directory} holds {manifest.get('format')!r}, not an instance"
         )
-    chain = load_chain(directory)
+    chain = _load_factors(directory, manifest)
     loss_block = _field(manifest, "loss", directory)
     kind = _field(loss_block, "kind", directory)
     files = _field(loss_block, "files", directory)

@@ -197,35 +197,72 @@ def test_products_skip_the_frozen_layers_below(monkeypatch):
     assert gradient and {len(args[0]) for _, args, _ in gradient} == {block}
 
 
+def _logging_cores(monkeypatch, cls, log):
+    """Replace the loss cores ``_residual``, ``_value`` and ``_gradient`` of
+    ``cls`` with wrappers that record ``(name, (argument,), result)``."""
+    for name in ("_residual", "_value", "_gradient"):
+        def logged(self, a, name=name, core=getattr(cls, name)):
+            result = core(self, a)
+            log.append((name, (a,), result))
+            return result
+
+        monkeypatch.setattr(cls, name, logged)
+
+
+class _LoggedInputs(np.ndarray):
+    """A view of a quadratic loss's ``inputs`` that records each product
+    ``w @ inputs`` it is the right factor of in its ``log``.  Its own views,
+    such as ``inputs.T``, have no ``log`` and record nothing."""
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        result = getattr(ufunc, method)(*(np.asarray(a) for a in args), **kwargs)
+        if ufunc is np.matmul and args[-1] is self and "log" in vars(self):
+            self.log.append(("w @ inputs", args, result))
+        return result
+
+
 @pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
 def test_a_step_builds_one_forward_product_per_trial(monkeypatch, loss_kind):
     inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=4))
     log = _counting(monkeypatch, "prefix_products")
     _counting(monkeypatch, "gradient_core", log)
-    cls, core = type(inst.loss), type(inst.loss)._value
-
-    def value_core(self, w):
-        log.append(("_value", (w,), None))
-        return core(self, w)
-
-    monkeypatch.setattr(cls, "_value", value_core)
+    _logging_cores(monkeypatch, type(inst.loss), log)
+    if loss_kind == "quadratic":
+        inst.loss.inputs = inst.loss.inputs.view(_LoggedInputs)
+        inst.loss.inputs.log = log
     result = armijo_gd(inst.chain.factors, inst.loss, range(1, 5), 30, STOP_GRAD_TOL)
     assert result.steps == 30
     names = [name for name, _, _ in log]
-    # The forward products are the start's and one per line-search trial,
-    # and the loss core evaluates each right after it is built (the start's
-    # through the checked ``value``; every trial is finite here) ...
-    values = [i for i, name in enumerate(names) if name == "_value"]
-    assert names.count("prefix_products") == len(values) > result.steps
-    for i in values:
-        assert names[i - 1] == "prefix_products" and log[i][1][0] is log[i - 1][2][-1]
+    # The forward products are the start's and one per line-search trial.
+    # Right after each is built, one residual is formed from it and the
+    # value core evaluates that residual (every trial is finite here) ...
+    residuals = [i for i, name in enumerate(names) if name == "_residual"]
+    assert names.count("prefix_products") == len(residuals) == names.count("_value")
+    assert len(residuals) > result.steps
+    for i in residuals:
+        built = max(j for j in range(i) if names[j] == "prefix_products")
+        assert log[i][1][0] is log[built][2][-1]
+        assert names[i + 1] == "_value" and log[i + 1][1][0] is log[i][2]
     # ... and each step's gradient runs on the prefix products built last:
-    # the start's or the accepted trial's, with none of its own.
+    # the start's or the accepted trial's, with none of its own ...
     gradients = [i for i, name in enumerate(names) if name == "gradient_core"]
     assert len(gradients) == result.steps + 1
     for i in gradients:
         built = max(j for j in range(i) if names[j] == "prefix_products")
         assert log[i][1][1] is log[built][2]
+    # ... while the convex gradient takes the residual formed last, so
+    # ``w @ inputs`` is formed once per trial, inside its residual, and
+    # never again for the gradient.
+    convex = [i for i, name in enumerate(names) if name == "_gradient"]
+    assert len(convex) == result.steps + 1
+    for i in convex:
+        formed = max(j for j in range(i) if names[j] == "_residual")
+        assert log[i][1][0] is log[formed][2]
+    products = [i for i, name in enumerate(names) if name == "w @ inputs"]
+    if loss_kind == "quadratic":
+        assert [i + 1 for i in products] == residuals
+    else:
+        assert products == []
 
 
 # sha256 over status, steps, ``loss.hex()``, ``max_grad.hex()`` and the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dln_landscape.analyze import classify
+from dln_landscape.cli import main
 from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
 from dln_landscape.network import LogCoshLoss, QuadraticLoss
 from dln_landscape.storage import (
@@ -94,9 +95,102 @@ class TestMatrixCSV:
         with pytest.raises(ValueError):
             load_matrix_csv(p)
 
+    def test_rejects_text_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"1,\xff\n")
+        with pytest.raises(ValueError, match="is not UTF-8 text") as exc:
+            load_matrix_csv(p)
+        assert str(p) in str(exc.value)
+
     def test_rejects_vector_on_save(self, tmp_path):
         with pytest.raises(ValueError):
             save_matrix_csv(tmp_path / "v.csv", np.ones(3))
+
+
+def _per_entry_reading(text: str) -> np.ndarray:
+    """The reference reader: ``float()`` on each comma-separated field of
+    each non-blank line, as ``str.splitlines`` cuts them."""
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+
+
+_MAX = float(np.finfo(np.float64).max)
+# Any finite double: a random bit pattern (subnormals included) or one of
+# the edges.
+_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1)
+    .map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+    .filter(np.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _MAX, -_MAX]),
+)
+# Exact renderings, and ones with too many or too few digits, which the
+# parser must round correctly (``%.3e`` rounds the largest doubles up to
+# overflow, which both readers turn into inf).
+_RENDERINGS = ("%.17g", "%r", "%.30e", "%.3e")
+
+
+@st.composite
+def _matrix_texts(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    rows, cols = draw(st.sampled_from([(1, n), (n, 1), (m, n)]))
+    rendering = draw(st.sampled_from(_RENDERINGS))
+    entries = draw(st.lists(_DOUBLES, min_size=rows * cols, max_size=rows * cols))
+    lines = (",".join(rendering % x for x in entries[r * cols:(r + 1) * cols]) for r in range(rows))
+    return "".join(line + "\n" for line in lines)
+
+
+@given(text=_matrix_texts())
+def test_reader_matches_per_entry_float(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "property.csv"
+    p.write_text(text, encoding="utf-8")
+    want = _per_entry_reading(text)
+    if not np.isfinite(want).all():
+        with pytest.raises(ValueError, match="non-finite"):
+            load_matrix_csv(p)
+        return
+    got = load_matrix_csv(p)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Inputs the reader refuses: name -> (file text, a fragment of the message,
+# whether the per-entry reference reads it).  The last five the reference
+# accepts and numpy's parser does not: ``float()`` takes digit separators and
+# any Unicode digit, and ``str.splitlines`` breaks lines at ``\v`` and ``\f``
+# and skips whitespace-only lines.
+_REFUSED_CSV = {
+    "empty file": ("", "holds no matrix rows", False),
+    "blank lines only": ("\n  \n\t\n", "holds no matrix rows", False),
+    "ragged rows": ("1,2\n3\n", "has ragged rows", False),
+    "digit separator": ("1_0,2\n", "could not convert string '1_0'", True),
+    "whitespace-only line": ("1,2\n  \n3,4\n", "line 2 holds only whitespace", True),
+    "vertical tab line break": ("1,2\v3,4\n", "could not convert string", True),
+    "form feed line break": ("1,2\f3,4\n", "could not convert string", True),
+    "non-ASCII digits": ("\u0661,\uff12\n", "could not convert string", True),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _REFUSED_CSV)
+def test_reader_refuses_with_one_line_naming_the_file(tmp_path, capsys, case):
+    text, fragment, reference_reads = _REFUSED_CSV[case]
+    if reference_reads:
+        assert _per_entry_reading(text).size
+    p = tmp_path / "m.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_matrix_csv(p)
+    message = str(exc.value)
+    assert len(message.splitlines()) == 1 and str(p) in message and fragment in message
+    inst = tmp_path / "inst"
+    assert main(["gen", "--out", str(inst), "--dims", "3,2,3"]) == 0
+    (inst / "M1.csv").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(inst / "M1.csv") in captured.err and fragment in captured.err
 
 
 class TestInstanceRoundTrip:
