@@ -152,7 +152,7 @@ def _rank_of_spectrum(s: np.ndarray, rank_tol: float) -> int:
     """Numerical rank from singular values sorted in descending order."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
 def kernel_vector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -153,8 +153,8 @@ class ConvexLoss(abc.ABC):
     the work the two share, so that a caller that needs both at one product
     (:meth:`value_and_gradient`, the descent loop of ``optim``) builds it
     once.  The descent loop calls ``_residual`` and the cores directly: it
-    checks the shape once per call and the finiteness of every product it
-    builds.  The contract — gradient consistent with central finite
+    checks the shape once per call and the finiteness of the trial product
+    it accepts.  The contract — gradient consistent with central finite
     differences, midpoint convexity — is spot-checkable via
     :func:`validate_loss_contract`.
     """
@@ -515,19 +515,29 @@ def validate_loss_contract(loss: ConvexLoss, rng: np.random.Generator) -> None:
     Verifies (a) ``gradient`` against central finite differences entrywise
     and (b) midpoint convexity ``f((u+v)/2) <= (f(u)+f(v))/2``, at the
     ``CONTRACT_*`` tolerances.  Raises :class:`LossContractViolation` on
-    failure.
+    failure.  One public ``gradient`` call per probe checks the probe's
+    shape; the finite-difference and midpoint values come from the cores
+    the descent loop runs, ``loss._value(loss._residual(w))``, since every
+    probe is finite and of that shape by construction.
     """
     shape = (loss.out_rows, loss.in_cols)
+
+    def value(w: np.ndarray) -> float:
+        return loss._value(loss._residual(w))
+
     for trial in range(CONTRACT_PROBES):
         w = rng.standard_normal(shape)
         grad = loss.gradient(w)
         fd = np.empty(shape)
-        for r in range(shape[0]):
-            for c in range(shape[1]):
-                h = 1e-5 * (1.0 + abs(w[r, c]))
-                wp = w.copy(); wp[r, c] += h
-                wm = w.copy(); wm[r, c] -= h
-                fd[r, c] = (loss.value(wp) - loss.value(wm)) / (2.0 * h)
+        probe = w.copy()
+        for r, c in np.ndindex(shape):
+            h = 1e-5 * (1.0 + abs(w[r, c]))
+            probe[r, c] = w[r, c] + h
+            hi = value(probe)
+            probe[r, c] = w[r, c] - h
+            lo = value(probe)
+            probe[r, c] = w[r, c]
+            fd[r, c] = (hi - lo) / (2.0 * h)
         err = np.abs(grad - fd)
         bound = CONTRACT_FD_ATOL + CONTRACT_FD_RTOL * np.abs(fd)
         if np.any(err > bound):
@@ -538,8 +548,8 @@ def validate_loss_contract(loss: ConvexLoss, rng: np.random.Generator) -> None:
             )
         u = rng.standard_normal(shape)
         v = rng.standard_normal(shape)
-        mid = loss.value(0.5 * (u + v))
-        avg = 0.5 * (loss.value(u) + loss.value(v))
+        mid = value(0.5 * (u + v))
+        avg = 0.5 * (value(u) + value(v))
         if mid > avg + CONTRACT_CONVEXITY_TOL * (1.0 + abs(avg)):
             raise LossContractViolation(
                 f"midpoint convexity violated at probe {trial}: "

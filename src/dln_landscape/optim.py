@@ -85,9 +85,9 @@ def armijo_gd(
     its intermediates are the prefix products that the next step's gradient
     reuses when the trial is accepted, so a gradient builds only the suffix
     products.  The loss's shape is checked once, at the start; the loop then
-    builds one ``loss._residual`` per finite trial product, takes the
-    trial's value from it with ``loss._value``, and the next gradient from
-    the accepted trial's with ``loss._gradient``.
+    builds one ``loss._residual`` per trial product, takes the trial's
+    value from it with ``loss._value``, and the next gradient from the
+    accepted trial's with ``loss._gradient``.
     The first trial of each line search is the Barzilai–Borwein step
     ``sᵀs / sᵀy`` of the last accepted step.  With ``s = -t·g_prev`` and
     ``y = g - g_prev`` that is ``t·‖g_prev‖² / (‖g_prev‖² - ⟨g_prev, g⟩)``,
@@ -95,9 +95,12 @@ def armijo_gd(
     When that denominator is not positive (and before the first step) the
     last accepted step grown by ``STEP_GROW`` is tried instead; trials are
     capped at 1e12.  A trial whose product overflows counts as a failed
-    Armijo test.  ``on_state`` is invoked with
-    ``(step, factors, loss, max_grad)`` for the initial state (step 0) and
-    after every accepted step that lowered the loss.
+    Armijo test: the product's finiteness is tested only on a trial that
+    passes the Armijo comparison, since a non-finite product gives the
+    shipped losses an inf or NaN value that fails it, and the test on the
+    passing trial keeps any loss from accepting one.  ``on_state`` is
+    invoked with ``(step, factors, loss, max_grad)`` for the initial state
+    (step 0) and after every accepted step that lowered the loss.
 
     Stops with status ``stalled-critical`` when the largest active-layer
     gradient norm drops to ``stop_grad_tol``, ``budget-exhausted`` after
@@ -162,12 +165,10 @@ def armijo_gd(
                     trial[i - 1] = current[i - 1] - t * grads[i - shift]
                 trial_below = prefix_products(head + trial[lo - 1 :])
                 product = trial_below[-1]
-                if np.isfinite(product).all():
-                    trial_residual = loss._residual(product)
-                    trial_value = loss._value(trial_residual)
-                else:
-                    trial_value = np.inf
-                if trial_value <= value - ARMIJO_C * t * squared:
+                trial_residual = loss._residual(product)
+                trial_value = loss._value(trial_residual)
+                if (trial_value <= value - ARMIJO_C * t * squared
+                        and np.isfinite(product).all()):
                     break
                 t *= BACKTRACK
             else:  # no step above MIN_STEP passed the Armijo test

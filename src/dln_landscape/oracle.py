@@ -4,7 +4,8 @@ finite-difference gradients.
 These deliberately avoid the code paths they are used to check: the
 reduced-rank fit goes through orthogonal whitening on the row space of the
 inputs (never the normal equations), and the finite-difference routine
-touches only ``chain_loss``.
+touches only the loss's public ``value`` at running products of the
+perturbed chain, never a gradient.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import Tolerances, _rank_of_spectrum, best_rank_approx, ensure_matrix
-from .network import ConvexLoss, FactorChain, chain_loss
+from .network import ConvexLoss, FactorChain, running_product
 
 __all__ = [
     "ReducedRankFit",
@@ -77,18 +78,22 @@ def finite_diff_gradient(chain: FactorChain, loss: ConvexLoss, layer: int) -> np
 
     The step is ``1e-5 * (1 + |M_layer|_F)``, held fixed for every entry of
     the layer.  Quadratic losses are differentiated exactly by the central
-    formula; smooth non-quadratic ones to O(step^2).
+    formula; smooth non-quadratic ones to O(step^2).  Each probe is
+    ``loss.value`` of the running product of the chain's arrays with one
+    probe copy of the layer in place: bitwise the ``chain_loss`` of the chain
+    with that layer replaced, without building a chain per probe.
     """
     m = chain.factor(layer)
     step = 1e-5 * (1.0 + float(np.linalg.norm(m)))
+    probe = np.array(m)
+    mats = list(chain.factors)
+    mats[layer - 1] = probe
     out = np.empty_like(m)
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            plus = np.array(m)
-            plus[r, c] += step
-            minus = np.array(m)
-            minus[r, c] -= step
-            hi = chain_loss(chain.with_factor(layer, plus), loss)
-            lo = chain_loss(chain.with_factor(layer, minus), loss)
-            out[r, c] = (hi - lo) / (2.0 * step)
+    for r, c in np.ndindex(m.shape):
+        probe[r, c] = m[r, c] + step
+        hi = loss.value(running_product(mats))
+        probe[r, c] = m[r, c] - step
+        lo = loss.value(running_product(mats))
+        probe[r, c] = m[r, c]
+        out[r, c] = (hi - lo) / (2.0 * step)
     return out

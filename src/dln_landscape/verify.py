@@ -30,7 +30,7 @@ import numpy as np
 
 from . import network
 from .analyze import Classification, DescentNotFoundError, classify, descent_search
-from .harness import InstanceSpec, gen_instance, stream, train_gd
+from .harness import InstanceSpec, _generic_factors, gen_instance, stream, train_gd
 from .linalg import DEFAULT_GRAD_TOL, DEFAULT_INVARIANCE_TOL
 from .network import (
     FactorChain,
@@ -430,8 +430,9 @@ def _section_trainer_vs_oracle(seed: int, trials: int) -> SectionResult:
 
 def _restart_best(loss, inits, max_steps: int, stop_grad_tol: float) -> float:
     """The lowest loss that balanced full-chain descent
-    (:func:`_balanced_descent`) reaches from any of the chains ``inits``."""
-    return min(_balanced_descent(init.factors, loss, max_steps, stop_grad_tol).loss for init in inits)
+    (:func:`_balanced_descent`) reaches from any of the factor sequences
+    ``inits``."""
+    return min(_balanced_descent(factors, loss, max_steps, stop_grad_tol).loss for factors in inits)
 
 
 def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
@@ -446,7 +447,7 @@ def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, min(dims))
         restart_rng = stream(inst_seed, _SECTION_KEY_BASE + 8, t)
         inits = (
-            gen_instance(replace(spec, seed=int(restart_rng.integers(0, 2**63)))).chain
+            _generic_factors(replace(spec, seed=int(restart_rng.integers(0, 2**63))))
             for _ in range(8)
         )
         best = _restart_best(inst.loss, inits, 3000, 1e-9)

@@ -287,7 +287,7 @@ def test_acceptance_7_oracle_agrees_with_restarted_descent():
         fit = rrr_oracle(inputs, targets, width)
         loss = QuadraticLoss(inputs, targets)
         inits = (
-            gen_instance(InstanceSpec(dims=(d_in, width, d_out), seed=60000 + 100 * t + r)).chain
+            gen_instance(InstanceSpec(dims=(d_in, width, d_out), seed=60000 + 100 * t + r)).chain.factors
             for r in range(50)
         )
         best = _restart_best(loss, inits, 1000, 1e-8)

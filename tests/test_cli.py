@@ -379,7 +379,17 @@ class TestOracle:
         assert json.loads(capsys.readouterr().out)["oracle_gap"] is not None
 
 
+# sha256 of the stdout of ``dln verify --seed 42``, the report whose bytes
+# stay the same unless a change says why.
+PINNED_VERIFY_SEED_42_DIGEST = "dbdcfb88b8c22f0f2fa59cd89fffb24a28317dc1ae60e1568559cac3a833e68f"
+
+
 class TestVerify:
+    def test_seed_42_report_matches_the_pinned_digest(self, capsys):
+        assert main(["verify", "--seed", "42"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_SEED_42_DIGEST
+
     def test_zero_trials_pass_with_warning(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out

@@ -362,15 +362,15 @@ class TestLossContract:
 
     def test_concave_caught(self):
         class Concave(QuadraticLoss):
-            def value(self, w):
-                return -super().value(w)
+            def _value(self, r):
+                return -super()._value(r)
 
-            def gradient(self, w):
-                return -super().gradient(w)
+            def _gradient(self, r):
+                return -super()._gradient(r)
 
         rng = _rng(23)
         loss = Concave(rng.standard_normal((2, 5)), rng.standard_normal((2, 5)))
-        with pytest.raises(LossContractViolation):
+        with pytest.raises(LossContractViolation, match="midpoint convexity"):
             validate_loss_contract(loss, _rng(24))
 
 

@@ -369,3 +369,66 @@ def test_first_trial_is_the_barzilai_borwein_step():
         halvings = np.log(taken[k] / first) / np.log(BACKTRACK)
         assert halvings == pytest.approx(round(halvings), abs=1e-6) and round(halvings) >= 0
     assert used_bb > 0
+
+
+# Generic 2-wide chains of depth 28, scaled per loss so that the first
+# line-search trials overflow the float range and later ones pass.
+_OVERFLOW_SCALES = {"quadratic": 2.0, "logcosh": 3.0}
+
+
+def _overflowing_start(loss_kind):
+    inst = gen_instance(InstanceSpec(dims=(2,) * 29, loss_kind=loss_kind, seed=0))
+    return [_OVERFLOW_SCALES[loss_kind] * m for m in inst.chain.factors], inst.loss
+
+
+class _FiniteOnOverflowLoss(QuadraticLoss):
+    """The quadratic loss, valued at the lowest finite double on a residual
+    that is not finite.  That value passes every Armijo comparison, so on a
+    product that overflowed only the finiteness test keeps the trial out."""
+
+    def _value(self, r):
+        if not np.isfinite(r).all():
+            return float(np.finfo(np.float64).min)
+        return super()._value(r)
+
+
+def test_no_overflowing_trial_is_accepted_for_any_loss(monkeypatch):
+    factors, quadratic = _overflowing_start("quadratic")
+    loss = _FiniteOnOverflowLoss(quadratic.inputs, quadratic.targets)
+    log = []
+    _logging_cores(monkeypatch, _FiniteOnOverflowLoss, log)
+    result, states = _recorded_descent(factors, loss, range(1, 29), 30)
+    # The loss gave some overflowed trial a finite value that passed the
+    # Armijo comparison.
+    assert any(
+        not np.isfinite(args[0]).all() and np.isfinite(value)
+        for name, args, value in log if name == "_value"
+    )
+    assert result.steps > 0 and len(states) == result.steps + 1
+    for _, current, _ in states:
+        assert all(np.isfinite(m).all() for m in current)
+        assert np.isfinite(running_product(current)).all()
+    values = [value for _, _, value in states]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    # Every accept/reject decision is the quadratic loss's.
+    _assert_same(result, _full_rebuild_gd(factors, quadratic, range(1, 29), 30, 0.0))
+
+
+# sha256 over status, steps, ``loss.hex()``, ``max_grad.hex()`` and the
+# factor bytes of 30-step descents from ``_overflowing_start``, quadratic
+# then logcosh, computed while every trial's product was tested for
+# finiteness before its value was taken.
+PINNED_OVERFLOW_DIGEST = "8a6c869d2201d00d2fcbcdbd9c9ba4bd5cd9cc5f8171f01cd83f4981ccd8bf19"
+
+
+def test_overflowing_starts_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for loss_kind in ("quadratic", "logcosh"):
+        factors, loss = _overflowing_start(loss_kind)
+        result = armijo_gd(factors, loss, range(1, 29), 30, 0.0)
+        _assert_same(result, _full_rebuild_gd(factors, loss, range(1, 29), 30, 0.0))
+        h.update(f"{result.status},{result.steps},{result.loss.hex()},"
+                 f"{result.max_grad.hex()};".encode())
+        for m in result.factors:
+            h.update(m.tobytes())
+    assert h.hexdigest() == PINNED_OVERFLOW_DIGEST

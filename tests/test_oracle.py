@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
 from dln_landscape.linalg import best_rank_approx, numerical_rank
-from dln_landscape.network import layer_gradients
+from dln_landscape.network import chain_loss, layer_gradients
 from dln_landscape.oracle import finite_diff_gradient, rrr_oracle
 
 
@@ -108,7 +108,41 @@ class TestRRROracle:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def _reference_finite_diff(chain, loss, layer):
+    """Central differences entry by entry, each probe the ``chain_loss`` of
+    a chain with that layer replaced: ``finite_diff_gradient`` must match it
+    byte for byte."""
+    m = chain.factor(layer)
+    step = 1e-5 * (1.0 + float(np.linalg.norm(m)))
+    out = np.empty_like(m)
+    for r in range(m.shape[0]):
+        for c in range(m.shape[1]):
+            plus = np.array(m)
+            plus[r, c] += step
+            minus = np.array(m)
+            minus[r, c] -= step
+            hi = chain_loss(chain.with_factor(layer, plus), loss)
+            lo = chain_loss(chain.with_factor(layer, minus), loss)
+            out[r, c] = (hi - lo) / (2.0 * step)
+    return out
+
+
 class TestFiniteDiffGradient:
+    @pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+    @pytest.mark.parametrize("dims, construction", (
+        ((3, 4, 2, 4, 3), "generic"),
+        ((2, 1, 1, 2), "generic"),
+        ((4, 3, 5), "generic"),
+        ((2, 3, 1, 4, 2), "rank_deficient_plateau"),
+    ))
+    def test_matches_the_chain_loss_reference_bytewise(self, dims, construction, loss_kind):
+        inst = gen_instance(
+            InstanceSpec(dims=dims, construction=construction, loss_kind=loss_kind, seed=8)
+        )
+        for layer in range(1, inst.chain.k + 1):
+            fd = finite_diff_gradient(inst.chain, inst.loss, layer)
+            assert fd.tobytes() == _reference_finite_diff(inst.chain, inst.loss, layer).tobytes()
+
     def test_matches_analytic_on_generic_chain(self):
         inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=5))
         grads = layer_gradients(inst.chain, inst.loss)

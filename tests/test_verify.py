@@ -222,6 +222,6 @@ def test_gauged_descents_match_the_pinned_digest():
             h.update(m.tobytes())
     for t in range(8):
         spec = InstanceSpec(dims=_RESTART_TRIPLES[t % len(_RESTART_TRIPLES)], seed=t)
-        inits = (gen_instance(replace(spec, seed=100 + 8 * t + r)).chain for r in range(8))
+        inits = (gen_instance(replace(spec, seed=100 + 8 * t + r)).chain.factors for r in range(8))
         h.update(f"{_restart_best(gen_instance(spec).loss, inits, 3000, 1e-9).hex()};".encode())
     assert h.hexdigest() == PINNED_GAUGED_DESCENT_DIGEST
