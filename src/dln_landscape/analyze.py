@@ -114,8 +114,8 @@ def super_gradients(
     bottleneck.
     """
     split = split_or_raise(chain, split)
-    grad = loss.gradient(split.above @ split.below)
-    return grad @ split.below.T, split.above.T @ grad
+    grad = loss.gradient(split.above.dot(split.below))
+    return grad.dot(split.below.T), split.above.T.dot(grad)
 
 
 def global_certificate(

@@ -184,7 +184,7 @@ def _planted_map(spec: InstanceSpec, rank: int) -> np.ndarray:
     rng = stream(spec.seed, STREAM_DATA, 2)
     left = rng.standard_normal((widths[-1], rank)) / np.sqrt(max(rank, 1))
     right = rng.standard_normal((rank, widths[0]))
-    return spec.data_scale * (left @ right)
+    return spec.data_scale * left.dot(right)
 
 
 def _factor_through(
@@ -205,10 +205,10 @@ def _factor_through(
             i: _orthogonal(stream(spec.seed, STREAM_MIXERS, i), widths[i])
             for i in range(j + 1, k)
         }
-        factors[j] = mix[j + 1] @ np.eye(widths[j + 1], d)
+        factors[j] = mix[j + 1].dot(np.eye(widths[j + 1], d))
         for i in range(j + 2, k):
-            factors[i - 1] = mix[i] @ np.eye(widths[i], widths[i - 1]) @ mix[i - 1].T
-        factors[k - 1] = above @ np.eye(d, widths[k - 1]) @ mix[k - 1].T
+            factors[i - 1] = mix[i].dot(np.eye(widths[i], widths[i - 1])).dot(mix[i - 1].T)
+        factors[k - 1] = above.dot(np.eye(d, widths[k - 1])).dot(mix[k - 1].T)
 
     if j == 1:
         factors[0] = below
@@ -217,10 +217,10 @@ def _factor_through(
             i: _orthogonal(stream(spec.seed, STREAM_MIXERS, i), widths[i])
             for i in range(1, j)
         }
-        factors[j - 1] = np.eye(d, widths[j - 1]) @ mix[j - 1].T
+        factors[j - 1] = np.eye(d, widths[j - 1]).dot(mix[j - 1].T)
         for i in range(2, j):
-            factors[i - 1] = mix[i] @ np.eye(widths[i], widths[i - 1]) @ mix[i - 1].T
-        factors[0] = mix[1] @ np.eye(widths[1], d) @ below
+            factors[i - 1] = mix[i].dot(np.eye(widths[i], widths[i - 1])).dot(mix[i - 1].T)
+        factors[0] = mix[1].dot(np.eye(widths[1], d)).dot(below)
     return factors  # type: ignore[return-value]
 
 
@@ -290,7 +290,7 @@ def gen_instance(spec: InstanceSpec) -> Instance:
             )
         assert isinstance(loss, QuadraticLoss)
         basis, back = _row_space_whitening(loss.inputs)
-        u, s, vh = np.linalg.svd(loss.targets @ basis, full_matrices=False)
+        u, s, vh = np.linalg.svd(loss.targets.dot(basis), full_matrices=False)
         if s.size < d + 1 or s[d] <= Tolerances().rank_tol * s[0]:
             raise InfeasibleConstructionError(
                 "whitened targets do not carry d+1 usable singular directions"
@@ -299,7 +299,7 @@ def gen_instance(spec: InstanceSpec) -> Instance:
         half = np.sqrt(s[window])
         above = u[:, window] * half
         below_white = half[:, None] * vh[window, :]
-        below = below_white @ back
+        below = below_white.dot(back)
         return Instance(
             FactorChain(tuple(_factor_through(spec, j, above, below))), loss, spec
         )
@@ -310,7 +310,7 @@ def gen_instance(spec: InstanceSpec) -> Instance:
     planted = _planted_map(spec, d)
     if spec.loss_kind == "quadratic":
         assert isinstance(loss, QuadraticLoss)
-        loss = QuadraticLoss(loss.inputs, planted @ loss.inputs)
+        loss = QuadraticLoss(loss.inputs, planted.dot(loss.inputs))
         optimum = rrr_oracle(loss.inputs, loss.targets, d).map
     else:
         loss = LogCoshLoss(planted)

@@ -133,7 +133,7 @@ def _full_rank_certified(m: np.ndarray, rank_tol: float) -> bool:
     """Cholesky of the shifted Gram matrix succeeds (see ``numerical_rank``)."""
     rows, cols = m.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = m.T @ m if rows >= cols else m @ m.T
+        gram = m.T.dot(m) if rows >= cols else m.dot(m.T)
         trace = gram.trace()
         margin = _CERT_MARGIN * rank_tol
         # A NaN rank_tol stays NaN through max() only as its first argument.
@@ -240,4 +240,4 @@ def best_rank_approx(m, rank: int) -> np.ndarray:
     if rank >= min(m.shape):
         return m.copy()
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return (u[:, :rank] * s[:rank]) @ vh[:rank, :]
+    return (u[:, :rank] * s[:rank]).dot(vh[:rank, :])

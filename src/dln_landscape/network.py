@@ -13,6 +13,20 @@ them without building chain objects.  No product is padded with an
 identity: the prefix products are the running product's own intermediates,
 and the suffix products stop at the lowest layer that is asked for.
 
+Every matrix product in the package is written ``x.dot(y)``, and a chain
+``a @ b @ c`` as ``a.dot(b).dot(c)``, the same left-to-right association.
+Chains here are at most a few dozen wide, where a product's cost is
+numpy's dispatch, not arithmetic: ``@`` goes through the ``matmul`` ufunc
+machinery and takes about twice as long as ``ndarray.dot`` to make the
+same cblas call (gemm, gemv, or syrk for a Gram pair such as ``m.T`` with
+``m``), so the results are bit for bit those of ``@``.  That holds for
+operands that are contiguous or transposes of contiguous arrays, and the
+package's own arrays stay so: chains and losses store contiguous copies,
+and the descent copies its start.  A strided view handed to a public
+function falls outside that condition, and its products may round
+differently from ``@``'s.  No helper wraps the call, as it would put a
+Python call back on every product.
+
 The split utilities cut a chain at an interior layer of minimum width into
 the two "super layers" above and below the cut; most of the landscape
 analysis in this package happens at that level.  :func:`balance_gauge`
@@ -213,13 +227,13 @@ class QuadraticLoss(ConvexLoss):
         self.in_cols = self.inputs.shape[0]
 
     def _residual(self, w: np.ndarray) -> np.ndarray:
-        return w @ self.inputs - self.targets
+        return w.dot(self.inputs) - self.targets
 
     def _value(self, r: np.ndarray) -> float:
         return float((r * r).sum())
 
     def _gradient(self, r: np.ndarray) -> np.ndarray:
-        return (2.0 * r) @ self.inputs.T
+        return (2.0 * r).dot(self.inputs.T)
 
 
 class LogCoshLoss(ConvexLoss):
@@ -277,7 +291,7 @@ def running_product(mats) -> np.ndarray:
     accumulated from the bottom (the first array is applied first)."""
     out = mats[0]
     for m in mats[1:]:
-        out = m @ out
+        out = m.dot(out)
     return out
 
 
@@ -287,7 +301,7 @@ def prefix_products(mats) -> list[np.ndarray]:
     ``mats[0]`` itself and the last is bitwise the running product."""
     below = [mats[0]]
     for m in mats[1:]:
-        below.append(m @ below[-1])
+        below.append(m.dot(below[-1]))
     return below
 
 
@@ -302,7 +316,7 @@ def suffix_products(mats, lowest: int) -> dict[int, np.ndarray]:
     k = len(mats)
     above = {k - 1: mats[-1]} if lowest < k else {}
     for i in range(k - 2, lowest - 1, -1):
-        above[i] = above[i + 1] @ mats[i]
+        above[i] = above[i + 1].dot(mats[i])
     return above
 
 
@@ -321,8 +335,8 @@ def gradient_core(mats, below, grad, layers) -> dict[int, np.ndarray]:
     above = suffix_products(mats, min(layers))
     grads = {}
     for i in layers:
-        g = grad if i == k else above[i].T @ grad
-        grads[i] = g if i == 1 else g @ below[i - 2].T
+        g = grad if i == k else above[i].T.dot(grad)
+        grads[i] = g if i == 1 else g.dot(below[i - 2].T)
     return grads
 
 
@@ -358,12 +372,24 @@ def _check_finite_loss(chain: FactorChain, loss: ConvexLoss) -> None:
     is not finite: every analysis of it would run on inf and NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = end_to_end(chain)
-        finite = np.all(np.isfinite(product))
-        if finite:
-            value, grad = loss.value_and_gradient(product)
-            finite = np.isfinite(value) and np.all(np.isfinite(grad))
-    if not finite:
-        raise ValueError("the loss or its gradient at the end-to-end product overflows")
+    _finite_loss_state(product, loss)
+
+
+def _finite_loss_state(
+    product: np.ndarray, loss: ConvexLoss
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(residual, value, gradient)`` of ``loss`` at ``product``, computed
+    without floating-point warnings.  Raises ``ValueError`` unless the
+    product, the value and the gradient are all finite, and
+    :class:`ShapeMismatchError` for a finite product of the wrong shape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(product).all():
+            residual = loss._residual(loss._check_shape(product))
+            value = loss._value(residual)
+            grad = loss._gradient(residual)
+            if np.isfinite(value) and np.isfinite(grad).all():
+                return residual, value, grad
+    raise ValueError("the loss or its gradient at the end-to-end product overflows")
 
 
 def layer_gradients(chain: FactorChain, loss: ConvexLoss) -> list[np.ndarray]:
@@ -447,7 +473,7 @@ def _sqrt_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     if not w[0] > 0.0:
         return None
     r = np.sqrt(w)
-    return (v * r) @ v.T, (v / r) @ v.T
+    return (v * r).dot(v.T), (v / r).dot(v.T)
 
 
 def balance_gauge(factors) -> list[np.ndarray]:
@@ -482,19 +508,19 @@ def balance_gauge(factors) -> list[np.ndarray]:
         d = lower.shape[0]
         if numerical_rank(upper) < d or numerical_rank(lower) < d:
             return mats
-        lower_gram = _sqrt_pair(lower @ lower.T)
+        lower_gram = _sqrt_pair(lower.dot(lower.T))
         if lower_gram is None:
             return mats
         half, inv_half = lower_gram
-        middle = _sqrt_pair(half @ (upper.T @ upper) @ half)
+        middle = _sqrt_pair(half.dot(upper.T.dot(upper)).dot(half))
         if middle is None:
             return mats
-        gauge = _sqrt_pair(inv_half @ middle[0] @ inv_half)
+        gauge = _sqrt_pair(inv_half.dot(middle[0]).dot(inv_half))
         if gauge is None:
             return mats
         gauged = list(mats)
-        gauged[j - 1] = gauge[0] @ mats[j - 1]
-        gauged[j] = mats[j] @ gauge[1]
+        gauged[j - 1] = gauge[0].dot(mats[j - 1])
+        gauged[j] = mats[j].dot(gauge[1])
         product = running_product(mats)
         drift = float(np.linalg.norm(running_product(gauged) - product))
         bound = DEFAULT_INVARIANCE_TOL * (1.0 + float(np.linalg.norm(product)))

@@ -27,7 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import ConvexLoss, gradient_core, prefix_products, running_product
+from .network import (
+    ConvexLoss,
+    _finite_loss_state,
+    gradient_core,
+    prefix_products,
+    running_product,
+)
 
 __all__ = [
     "GDResult",
@@ -84,7 +90,8 @@ def armijo_gd(
     lowest active one up, headed by the product of the frozen layers below;
     its intermediates are the prefix products that the next step's gradient
     reuses when the trial is accepted, so a gradient builds only the suffix
-    products.  The loss's shape is checked once, at the start; the loop then
+    products.  The loss's shape and the finiteness of the start are checked
+    once, at the start (``network._finite_loss_state``); the loop then
     builds one ``loss._residual`` per trial product, takes the trial's
     value from it with ``loss._value``, and the next gradient from the
     accepted trial's with ``loss._gradient``.
@@ -108,8 +115,10 @@ def armijo_gd(
     ``MIN_STEP`` achieves the Armijo decrease, or ``precision-limited`` when
     an accepted trial's loss equals the current loss to the bit (the
     Armijo decrease is below rounding); the returned factors are then the
-    current iterate, not that trial.  A negative ``max_steps`` or a
-    negative or non-finite ``stop_grad_tol`` raises ``ValueError``.
+    current iterate, not that trial.  A negative ``max_steps``, a negative
+    or non-finite ``stop_grad_tol``, or a start whose end-to-end product,
+    loss value or convex gradient is not finite raises ``ValueError``; the
+    start is computed without floating-point warnings.
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
@@ -126,19 +135,19 @@ def armijo_gd(
     # products accumulate from the bottom, a trial product over this head is
     # bitwise the product over the whole chain.
     lo = active[0]
-    head = [running_product(current[: lo - 1])] if lo > 1 else []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        head = [running_product(current[: lo - 1])] if lo > 1 else []
+        below = prefix_products(head + current[lo - 1 :])
+    # The one shape check, and the one finiteness check, of the start.
+    residual, value, grad = _finite_loss_state(below[-1], loss)
     shift = lo - 1 - len(head)
     positions = [i - shift for i in active]  # the active layers in the block
-    below = prefix_products(head + current[lo - 1 :])
-    residual = loss._residual(loss._check_shape(below[-1]))  # the one shape check
-    value = loss._value(residual)
     t = STEP_INIT
     last = None  # the last accepted step's gradients and their squared norm
     steps = 0
     while True:
-        # The forward products and the residual are the accepted trial's (or
-        # the start's).
-        grad = loss._gradient(residual)
+        # The forward products, the residual and the convex gradient are the
+        # accepted trial's (or the start's).
         grads = gradient_core(head + current[lo - 1 :], below, grad, positions)
         max_grad = max(_norm(g) for g in grads.values())
         if on_state is not None:
@@ -178,6 +187,7 @@ def armijo_gd(
             status = STATUS_PRECISION
             break
         current, below, residual, value = trial, trial_below, trial_residual, trial_value
+        grad = loss._gradient(residual)
         last = grads, squared
         steps += 1
     return GDResult(

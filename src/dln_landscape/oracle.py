@@ -68,8 +68,8 @@ def rrr_oracle(
             f"inputs have {x.shape[1]} samples, targets have {y.shape[1]}"
         )
     basis, back = _row_space_whitening(x, rank_tol)
-    w = best_rank_approx(y @ basis, rank) @ back
-    residual = w @ x - y
+    w = best_rank_approx(y.dot(basis), rank).dot(back)
+    residual = w.dot(x) - y
     return ReducedRankFit(map=w, loss=float(np.sum(residual * residual)))
 
 

@@ -196,7 +196,7 @@ def subspace_membership(
     """
     v = np.asarray(vec, dtype=np.float64)
     g = ensure_matrix(grad_matrix, "gradient matrix")
-    return float(np.linalg.norm(g @ v)) <= subspace_tol * float(
+    return float(np.linalg.norm(g.dot(v))) <= subspace_tol * float(
         np.linalg.norm(g)
     ) * float(np.linalg.norm(v))
 
@@ -204,7 +204,7 @@ def subspace_membership(
 def _row_scores(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Relative null-space violation ``|G r| / |r|`` per row (0 for zero rows)."""
     norms = np.linalg.norm(rows, axis=1)
-    image = np.linalg.norm(rows @ grad.T, axis=1)
+    image = np.linalg.norm(rows.dot(grad.T), axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     return np.where(norms > 0.0, image / safe, 0.0)
 
@@ -289,7 +289,7 @@ def escape_construction(
         # definition, so the walk perturbs it first.
         current, first = below[containment_start - 2], containment_start
     for i in range(first, j + 1):
-        candidate = chain.factor(i) @ current
+        candidate = chain.factor(i).dot(current)
         if np.max(_row_scores(candidate, grad)) > member_threshold:
             current = candidate
         else:
@@ -306,7 +306,7 @@ def escape_construction(
     lower, moved = perturbed_below[j - 1], perturbed_below[-1]
     scores = _row_scores(lower, grad)
     witness_row = int(np.argmax(scores))
-    super_gradient_norm = float(np.linalg.norm(grad @ lower.T))
+    super_gradient_norm = float(np.linalg.norm(grad.dot(lower.T)))
     original_loss = loss.value(product)
     loss_delta = (loss.value(moved) if np.all(np.isfinite(moved)) else np.inf) - original_loss
 

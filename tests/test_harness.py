@@ -297,6 +297,14 @@ class TestTrainGDGuards:
         assert all(np.isfinite(p.loss) for p in trajectory.points)
         assert chain_loss(trained, inst.loss) == trajectory.final.loss
 
+    def test_a_start_whose_loss_overflows_is_refused(self):
+        # The data are finite, but |W X - Y|² overflows at the start.
+        inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=1, data_scale=1e160))
+        with pytest.raises(
+            ValueError, match="the loss or its gradient at the end-to-end product overflows"
+        ):
+            train_gd(inst.chain, inst.loss)
+
     def test_negative_max_steps_rejected(self):
         chain, loss = canonical_plateau()
         with pytest.raises(ValueError, match="max_steps must be non-negative, got -5"):

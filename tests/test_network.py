@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dln_landscape.harness import InstanceSpec
 from dln_landscape.network import (
@@ -387,3 +387,50 @@ class TestChainLoss:
         loss = QuadraticLoss(rng.standard_normal((4, 6)), rng.standard_normal((2, 6)))
         with pytest.raises(ShapeMismatchError):
             chain_loss(chain, loss)
+
+
+def _operand(rng: np.random.Generator, rows: int, cols: int, layout: str) -> np.ndarray:
+    """A ``rows x cols`` operand: C-contiguous, Fortran-ordered, or the
+    transpose of a C-contiguous array."""
+    if layout == "C":
+        return rng.standard_normal((rows, cols))
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal((rows, cols)))
+    return rng.standard_normal((cols, rows)).T
+
+
+_WIDTH = st.one_of(st.integers(1, 8), st.integers(1, 192))
+_LAYOUT = st.sampled_from("CFT")
+
+
+class TestDotIsMatmul:
+    """The package multiplies with ``ndarray.dot``, not ``@``, and keeps the
+    bytes ``@`` gave.  That rests on one condition, checked here for the
+    installed numpy and BLAS: for float64 operands that are contiguous or
+    transposes of contiguous arrays, both routes make the same cblas call
+    (gemm, gemv, or syrk for a Gram pair), so their results agree bit for
+    bit.  Strided views are outside the condition: there the routes may
+    differ, and none of the package's own arrays is one."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), _WIDTH, _WIDTH, _WIDTH, _LAYOUT, _LAYOUT)
+    def test_matrix_products(self, seed, m, k, n, left, right):
+        rng = _rng(seed)
+        a, b = _operand(rng, m, k, left), _operand(rng, k, n, right)
+        assert a.dot(b).tobytes() == (a @ b).tobytes()
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), _WIDTH, _WIDTH, _LAYOUT)
+    def test_gram_pairs(self, seed, rows, cols, layout):
+        m = _operand(_rng(seed), rows, cols, layout)
+        assert m.T.dot(m).tobytes() == (m.T @ m).tobytes()
+        assert m.dot(m.T).tobytes() == (m @ m.T).tobytes()
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), _WIDTH, _WIDTH, _LAYOUT)
+    def test_matrix_vector_products(self, seed, rows, cols, layout):
+        rng = _rng(seed)
+        a = _operand(rng, rows, cols, layout)
+        v, w = rng.standard_normal(cols), rng.standard_normal(rows)
+        assert a.dot(v).tobytes() == (a @ v).tobytes()
+        assert w.dot(a).tobytes() == (w @ a).tobytes()

@@ -211,14 +211,25 @@ def _logging_cores(monkeypatch, cls, log):
 
 class _LoggedInputs(np.ndarray):
     """A view of a quadratic loss's ``inputs`` that records each product
-    ``w @ inputs`` it is the right factor of in its ``log``.  Its own views,
-    such as ``inputs.T``, have no ``log`` and record nothing."""
+    ``w.dot(inputs)`` it is a factor of in its ``log``.
+
+    ``ndarray.dot`` passes through no ufunc, so no ``__array_ufunc__`` sees
+    the product.  It allocates its result as the subclass of the operand
+    with the higher ``__array_priority__``, and ``__array_finalize__`` then
+    runs with that operand as ``obj``: a new array (one with no ``base``)
+    finalized from the logged ``inputs`` is a product of it.  Views of it,
+    such as ``inputs.T``, have a ``base``, and they have no ``log``, so
+    products with them record nothing.  Ufunc results are plain arrays.
+    """
+
+    __array_priority__ = 1.0
 
     def __array_ufunc__(self, ufunc, method, *args, **kwargs):
-        result = getattr(ufunc, method)(*(np.asarray(a) for a in args), **kwargs)
-        if ufunc is np.matmul and args[-1] is self and "log" in vars(self):
-            self.log.append(("w @ inputs", args, result))
-        return result
+        return getattr(ufunc, method)(*(np.asarray(a) for a in args), **kwargs)
+
+    def __array_finalize__(self, obj):
+        if self.base is None and "log" in getattr(obj, "__dict__", {}):
+            obj.log.append(("w.dot(inputs)", (obj,), self))
 
 
 @pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
@@ -251,14 +262,14 @@ def test_a_step_builds_one_forward_product_per_trial(monkeypatch, loss_kind):
         built = max(j for j in range(i) if names[j] == "prefix_products")
         assert log[i][1][1] is log[built][2]
     # ... while the convex gradient takes the residual formed last, so
-    # ``w @ inputs`` is formed once per trial, inside its residual, and
+    # ``w.dot(inputs)`` is formed once per trial, inside its residual, and
     # never again for the gradient.
     convex = [i for i, name in enumerate(names) if name == "_gradient"]
     assert len(convex) == result.steps + 1
     for i in convex:
         formed = max(j for j in range(i) if names[j] == "_residual")
         assert log[i][1][0] is log[formed][2]
-    products = [i for i, name in enumerate(names) if name == "w @ inputs"]
+    products = [i for i, name in enumerate(names) if name == "w.dot(inputs)"]
     if loss_kind == "quadratic":
         assert [i + 1 for i in products] == residuals
     else:
@@ -432,3 +443,27 @@ def test_overflowing_starts_match_the_pinned_digest():
         for m in result.factors:
             h.update(m.tobytes())
     assert h.hexdigest() == PINNED_OVERFLOW_DIGEST
+
+
+_OVERFLOW_MESSAGE = "the loss or its gradient at the end-to-end product overflows"
+
+
+@pytest.mark.parametrize("active", ([1, 2, 3, 4], [4]))
+def test_a_start_whose_loss_overflows_is_refused(active):
+    # Finite data and a finite product, but |W X - Y|² overflows.  Warnings
+    # are errors in this suite, so the start is also computed quietly.
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=1, data_scale=1e160))
+    assert np.isfinite(running_product(inst.chain.factors)).all()
+    with pytest.raises(ValueError, match=_OVERFLOW_MESSAGE):
+        armijo_gd(inst.chain.factors, inst.loss, active, 10, STOP_GRAD_TOL)
+
+
+@pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+@pytest.mark.parametrize("active", ([1, 2, 3, 4], [4]))
+def test_a_start_whose_product_overflows_is_refused(loss_kind, active):
+    # Scaled by 1e160 per layer the product overflows, and so does the
+    # frozen head below layer 4.
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), loss_kind=loss_kind, seed=1))
+    factors = [1e160 * m for m in inst.chain.factors]
+    with pytest.raises(ValueError, match=_OVERFLOW_MESSAGE):
+        armijo_gd(factors, inst.loss, active, 10, STOP_GRAD_TOL)

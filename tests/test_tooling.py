@@ -7,7 +7,9 @@ runs.  The tracer is read as source, not imported, so this test writes
 nothing under ``perfbench/``.  A module's ``__all__`` lists only names that
 module defines, and a public name one module imports from another is in
 the exporter's ``__all__``; the package root re-exports nothing.  Every
-name a module imports is used in it or listed in its ``__all__``.
+name a module imports is used in it or listed in its ``__all__``.  No
+module multiplies with the ``@`` operator: products go through
+``ndarray.dot`` (see the ``network`` module docstring).
 """
 
 import ast
@@ -111,3 +113,14 @@ def test_every_imported_name_is_used_or_exported():
         used.update(importlib.import_module(name).__all__)
         dead += [f"{stem} imports {n}" for n in _imported_names(tree) if n not in used]
     assert not dead, f"imported but never used: {dead}"
+
+
+def test_no_product_uses_the_matmul_operator():
+    # ``@`` in a docstring is notation, a string constant, and is not seen.
+    found = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in _module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not found, f"products written with @ instead of ndarray.dot: {found}"
