@@ -244,10 +244,12 @@ def descent_search(
 
     Starting from the certificate's perturbed chain, runs Armijo gradient
     descent on the layers of the super layer that saw the nonzero gradient
-    (the side *opposite* the perturbation: those layers form a chain with no
+    (the side *opposite* the perturbation), stopping once every active
+    gradient is below the default ``grad_tol``.  When the interior widths
+    of those layers all exceed the cut width they form a chain with no
     interior bottleneck, where a nonzero super-layer gradient guarantees
-    descent), stopping once every active gradient is below the default
-    ``grad_tol``.  The cut and the original loss are read from ``report``,
+    descent; a width that ties with the cut's (widths ``(2, 1, 1, 2)``, say)
+    voids that guarantee, and the descent can stop at its first step.  The cut and the original loss are read from ``report``,
     which must be the report of ``chain`` under ``loss``.
 
     Returns a chain whose loss is at most

@@ -53,7 +53,6 @@ __all__ = [
     "ConvexLoss",
     "QuadraticLoss",
     "LogCoshLoss",
-    "TransposedLoss",
     "BottleneckSplit",
     "running_product",
     "prefix_products",
@@ -260,30 +259,6 @@ class LogCoshLoss(ConvexLoss):
 
     def _gradient(self, w: np.ndarray) -> np.ndarray:
         return np.tanh(w - self.target)
-
-
-class TransposedLoss(ConvexLoss):
-    """View of a loss acting on the transposed product, ``g(W) = f(W^T)``.
-
-    Convexity and differentiability carry over; the gradient is
-    ``f'(W^T)^T``.  The residual is the base loss's residual at ``W^T``.
-    Used to analyse the upper super layer of a chain with the machinery
-    written for the lower one.
-    """
-
-    def __init__(self, base: ConvexLoss) -> None:
-        self.base = base
-        self.out_rows = base.in_cols
-        self.in_cols = base.out_rows
-
-    def _residual(self, w: np.ndarray) -> np.ndarray:
-        return self.base._residual(w.T)
-
-    def _value(self, r: np.ndarray) -> float:
-        return self.base._value(r)
-
-    def _gradient(self, r: np.ndarray) -> np.ndarray:
-        return self.base._gradient(r).T
 
 
 def running_product(mats) -> np.ndarray:

@@ -10,9 +10,10 @@ construct *escape certificates*: perturbed chains with (numerically) the
 same loss whose lower super layer sees a nonzero gradient, witnessing that a
 critical chain sits on an escapable plateau rather than at a local minimum.
 
-The same machinery applies to a rank-deficient lower super layer by running
-the construction on the reversed, transposed chain
-(``escape_construction_mirrored``).
+A rank-deficient lower super layer is the transposed case, and one walk
+serves both: on the chain's own factors (``escape_construction``), or on
+the views ``M_k^T, ..., M_1^T`` with the loss taken at the transpose of
+their product (``escape_construction_mirrored``), mapped back at the end.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .network import (
     BottleneckSplit,
     ConvexLoss,
     FactorChain,
-    TransposedLoss,
-    make_split,
     partial_product,
     prefix_products,
     split_or_raise,
@@ -84,8 +83,10 @@ class ConstructionFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class RankOnePerturbation:
-    """``w v^T`` added to one layer; ``w`` lives in the layer's output space
-    (unit kernel direction), ``v`` in its input space."""
+    """``w v^T`` added to one layer; ``w`` lives in the layer's output space,
+    ``v`` in its input space.  In a certificate with ``side == "below"``,
+    ``w`` is the unit kernel direction and ``v`` the scaled selector; with
+    ``side == "above"`` the roles swap."""
 
     layer: int
     w: np.ndarray = field(repr=False)
@@ -154,13 +155,22 @@ def kernel_family(
     through the rank-deficient upper super layer.  Raises
     :class:`FullRankAboveError` when the upper super layer has full rank.
     """
+    return _kernels(chain.factors, split, False, rank_tol)
+
+
+def _kernels(mats, split: BottleneckSplit, flip: bool, rank_tol: float) -> list[np.ndarray]:
+    """:func:`kernel_family` of ``mats``, the chain's factors or, with
+    ``flip``, their reversed transposes, where the lower super layer must
+    be rank deficient."""
     d = split.width
-    if numerical_rank(split.above, rank_tol) >= d:
+    if numerical_rank(split.below if flip else split.above, rank_tol) >= d:
         raise FullRankAboveError(
-            f"upper super layer has full rank {d}; no kernel family exists"
+            f"{'lower' if flip else 'upper'} super layer has full rank {d}; "
+            "no kernel family exists"
         )
-    above = suffix_products(chain.factors, 1)
-    return [kernel_vector(above[i], rank_tol) for i in range(1, split.index + 1)]
+    above = suffix_products(mats, 1)
+    j = len(mats) - split.index if flip else split.index
+    return [kernel_vector(above[i], rank_tol) for i in range(1, j + 1)]
 
 
 def apply_family(chain: FactorChain, family: Sequence[RankOnePerturbation]) -> FactorChain:
@@ -209,7 +219,6 @@ def _row_scores(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, image / safe, 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def escape_construction(
     chain: FactorChain,
     loss: ConvexLoss,
@@ -235,15 +244,58 @@ def escape_construction(
     ``v_1`` is ``delta`` times the most violating row of ``G`` itself,
     normalised, and the walk goes on from layer 2.
 
+    :func:`escape_construction_mirrored` runs the same walk in the
+    transposed frame, for a rank-deficient lower super layer.
+
     Raises :class:`GradientVanishesError` (global minimum — nothing to do),
-    :class:`FullRankAboveError` (use the mirrored entry point or accept the
-    two-layer reduction), or :class:`ConstructionFailedError` (also when a
-    witness score, super-layer gradient or loss change is inf or NaN).
+    :class:`FullRankAboveError` (no kernel family above the cut), or
+    :class:`ConstructionFailedError` (also when a witness score,
+    super-layer gradient or loss change is inf or NaN).
     """
+    return _escape_walk(chain, loss, delta, tols, split, "below")
+
+
+def escape_construction_mirrored(
+    chain: FactorChain,
+    loss: ConvexLoss,
+    delta: float | None = None,
+    tols: Tolerances = Tolerances(),
+    split: BottleneckSplit | None = None,
+) -> EscapeCertificate:
+    """Escape certificate for a rank-deficient *lower* super layer.
+
+    Transposing the end-to-end product swaps the roles of the two super
+    layers while preserving convexity of the loss, so the walk of
+    :func:`escape_construction`, run on the views ``M_k^T, ..., M_1^T``
+    with the loss taken at the transpose of their product, perturbs layers
+    ``j+1..k`` of the original chain.  The returned certificate is
+    expressed in the original frame (``side == "above"``).
+    """
+    return _escape_walk(chain, loss, delta, tols, split, "above")
+
+
+def reversed_chain(chain: FactorChain) -> FactorChain:
+    """The chain computing the transposed product: reversed, transposed factors."""
+    return FactorChain(tuple(m.T for m in reversed(chain.factors)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _escape_walk(chain, loss, delta, tols, split, side: str) -> EscapeCertificate:
+    """The walk of :func:`escape_construction`, on the views ``M_k^T, ...,
+    M_1^T`` when ``side == "above"``, certified in the original frame."""
     split = split_or_raise(chain, split)
-    below = prefix_products(chain.factors)  # below[i - 1] = M_i ... M_1
+    k, flip = chain.k, side == "above"
+
+    def frame(mats) -> list[np.ndarray]:
+        """Factors of one frame in the other: reversed and transposed views."""
+        return [m.T for m in reversed(mats)] if flip else list(mats)
+
+    mats = frame(chain.factors)
+    j = k - split.index if flip else split.index
+    below = prefix_products(mats)  # below[i - 1] = mats[i - 1] ... mats[0]
     product = below[-1]
-    grad = loss.gradient(product)
+    original_loss, grad = loss.value_and_gradient(product.T if flip else product)
+    grad = grad.T if flip else grad
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= tols.grad_tol:
         raise GradientVanishesError(
@@ -258,8 +310,10 @@ def escape_construction(
     # grad_tol at the default scale and shrinks with a smaller delta.
     gradient_floor = tols.grad_tol * min(1.0, delta / scale)
 
-    j = split.index
-    kernels = kernel_family(chain, split, tols.rank_tol)
+    if flip:
+        kernels = _kernels(mats, split, flip, tols.rank_tol)
+    else:
+        kernels = kernel_family(chain, split, tols.rank_tol)
     member_threshold = tols.subspace_tol * grad_norm
 
     # Find the first layer whose (unperturbed) partial product is fully
@@ -271,7 +325,7 @@ def escape_construction(
             containment_start = i
             break
 
-    vs: list[np.ndarray] = [np.zeros(chain.factor(i).shape[1]) for i in range(1, j + 1)]
+    vs: list[np.ndarray] = [np.zeros(mats[i - 1].shape[1]) for i in range(1, j + 1)]
     first = j + 1  # containment_start 0: the lower super layer already escapes
     if containment_start == 1:
         # No escaped rows exist below layer 1; seed the escape with the
@@ -283,13 +337,13 @@ def escape_construction(
         if nonzero.size and u[nonzero[0]] < 0.0:
             u = -u
         vs[0] = delta * u
-        current, first = chain.factor(1) + np.outer(kernels[0], vs[0]), 2
+        current, first = mats[0] + np.outer(kernels[0], vs[0]), 2
     elif containment_start > 1:
         # Layer containment_start fails the escape test below by
         # definition, so the walk perturbs it first.
         current, first = below[containment_start - 2], containment_start
     for i in range(first, j + 1):
-        candidate = chain.factor(i).dot(current)
+        candidate = mats[i - 1].dot(current)
         if np.max(_row_scores(candidate, grad)) > member_threshold:
             current = candidate
         else:
@@ -298,16 +352,21 @@ def escape_construction(
             current = candidate + np.outer(kernels[i - 1], delta * current[pick])
 
     family = tuple(
-        RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
-        for i in range(1, j + 1)
+        RankOnePerturbation(layer=k + 1 - i, w=vs[i - 1], v=kernels[i - 1]) if flip
+        else RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
+        for i in (range(j, 0, -1) if flip else range(1, j + 1))
     )
-    perturbed = apply_family(chain, family)
-    perturbed_below = prefix_products(perturbed.factors)
+    moved_mats = list(mats)
+    for i in range(1, j + 1):
+        if np.any(vs[i - 1] != 0.0):
+            moved_mats[i - 1] = mats[i - 1] + np.outer(kernels[i - 1], vs[i - 1])
+    perturbed = FactorChain(tuple(frame(moved_mats)))
+    perturbed_below = prefix_products(moved_mats)
     lower, moved = perturbed_below[j - 1], perturbed_below[-1]
     scores = _row_scores(lower, grad)
     witness_row = int(np.argmax(scores))
     super_gradient_norm = float(np.linalg.norm(grad.dot(lower.T)))
-    original_loss = loss.value(product)
+    moved = moved.T if flip else moved
     loss_delta = (loss.value(moved) if np.all(np.isfinite(moved)) else np.inf) - original_loss
 
     diagnostics = {
@@ -341,60 +400,13 @@ def escape_construction(
     return EscapeCertificate(
         perturbed_chain=perturbed,
         family=family,
-        side="below",
+        side=side,
         witness_row=witness_row,
         containment_start=containment_start,
         super_gradient_norm=super_gradient_norm,
         loss_delta=loss_delta,
         original_loss=original_loss,
         delta=float(delta),
-    )
-
-
-def reversed_chain(chain: FactorChain) -> FactorChain:
-    """The chain computing the transposed product: reversed, transposed factors."""
-    return FactorChain(tuple(m.T for m in reversed(chain.factors)))
-
-
-def escape_construction_mirrored(
-    chain: FactorChain,
-    loss: ConvexLoss,
-    delta: float | None = None,
-    tols: Tolerances = Tolerances(),
-    split: BottleneckSplit | None = None,
-) -> EscapeCertificate:
-    """Escape certificate for a rank-deficient *lower* super layer.
-
-    Transposing the end-to-end product swaps the roles of the two super
-    layers while preserving convexity of the loss, so the lower-side
-    construction applied to the reversed chain perturbs layers ``j+1..k`` of
-    the original one.  The returned certificate is expressed in the original
-    frame (``side == "above"``).
-    """
-    split = split_or_raise(chain, split)
-    k = chain.k
-    rev = reversed_chain(chain)
-    rev_split = make_split(rev, k - split.index)
-    rev_cert = escape_construction(
-        rev, TransposedLoss(loss), delta=delta, tols=tols, split=rev_split
-    )
-    factors = tuple(
-        rev_cert.perturbed_chain.factors[k - 1 - i].T for i in range(k)
-    )
-    family = tuple(
-        RankOnePerturbation(layer=k + 1 - p.layer, w=p.v, v=p.w)
-        for p in reversed(rev_cert.family)
-    )
-    return EscapeCertificate(
-        perturbed_chain=FactorChain(factors),
-        family=family,
-        side="above",
-        witness_row=rev_cert.witness_row,
-        containment_start=rev_cert.containment_start,
-        super_gradient_norm=rev_cert.super_gradient_norm,
-        loss_delta=rev_cert.loss_delta,
-        original_loss=rev_cert.original_loss,
-        delta=rev_cert.delta,
     )
 
 

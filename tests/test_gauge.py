@@ -6,31 +6,45 @@ product unchanged and rotates the two affected layer gradients, so every
 quantity the analysis reports must be invariant.  Reversing the chain and
 transposing every factor computes the transposed product, so under the
 transposed loss the analysis must agree with the original up to swapping
-the two super layers.  The balanced gauge at the bottleneck cut is one such
-insertion, so it must keep the function and every analysis result too.
+the two super layers.  The package's mirrored escape walks transposed views
+of the chain's own factors instead, and must match the escape of the
+reversed chain bit for bit.  The balanced gauge at the bottleneck cut is
+one such insertion, so it must keep the function and every analysis result
+too.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import InstanceSpec, gen_instance
-from dln_landscape.linalg import DEFAULT_INVARIANCE_TOL, Tolerances, numerical_rank
+from dln_landscape.linalg import (
+    DEFAULT_INVARIANCE_TOL,
+    Tolerances,
+    best_rank_approx,
+    numerical_rank,
+)
 from dln_landscape.network import (
+    ConvexLoss,
     FactorChain,
     LogCoshLoss,
     QuadraticLoss,
-    TransposedLoss,
     balance_gauge,
+    bottleneck_split,
     chain_loss,
     end_to_end,
     interior_bottleneck,
     layer_gradients,
     running_product,
+    validate_loss_contract,
 )
-from dln_landscape.perturb import reversed_chain
+from dln_landscape.perturb import (
+    escape_construction,
+    escape_construction_mirrored,
+    reversed_chain,
+)
 
 _DIMS = ((3, 4, 2, 4, 3), (2, 3, 1, 4, 2), (4, 5, 2, 3, 4, 3), (3, 2, 3), (2, 1, 1, 2))
 # Exactly one interior layer of minimum width, so the reversed chain splits
@@ -53,6 +67,45 @@ _KINDS = (
     ("factored_global", "quadratic"),
     ("factored_global", "logcosh"),
 )
+
+
+class TransposedLoss(ConvexLoss):
+    """View of a loss acting on the transposed product, ``g(W) = f(W^T)``.
+
+    Convexity and differentiability carry over; the gradient is
+    ``f'(W^T)^T``.  The residual is the base loss's residual at ``W^T``.
+    Pairs with :func:`reversed_chain`, which computes the transposed product.
+    """
+
+    def __init__(self, base: ConvexLoss) -> None:
+        self.base = base
+        self.out_rows = base.in_cols
+        self.in_cols = base.out_rows
+
+    def _residual(self, w: np.ndarray) -> np.ndarray:
+        return self.base._residual(w.T)
+
+    def _value(self, r: np.ndarray) -> float:
+        return self.base._value(r)
+
+    def _gradient(self, r: np.ndarray) -> np.ndarray:
+        return self.base._gradient(r).T
+
+
+class TestTransposedLoss:
+    def test_value_and_gradient_consistency(self):
+        rng = np.random.default_rng(4)
+        base = QuadraticLoss(rng.standard_normal((3, 6)), rng.standard_normal((2, 6)))
+        t = TransposedLoss(base)
+        v = rng.standard_normal((3, 2))
+        assert t.value(v) == base.value(v.T)
+        assert np.array_equal(t.gradient(v), base.gradient(v.T).T)
+        assert (t.out_rows, t.in_cols) == (base.in_cols, base.out_rows)
+
+    def test_contract_still_holds(self):
+        rng = np.random.default_rng(5)
+        base = LogCoshLoss(rng.standard_normal((2, 3)))
+        validate_loss_contract(TransposedLoss(base), np.random.default_rng(6))
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -136,6 +189,69 @@ def test_reversal_with_transposed_loss_mirrors_the_classification(dims, kinds, s
         assert abs(cert.loss_delta) <= bound
         assert abs(chain_loss(cert.perturbed_chain, mirrored_loss) - mirrored.loss) <= bound
         assert cert.super_gradient_norm > tols.grad_tol
+
+
+def _lower_deficient(dims, seed: int, quadratic: bool, pick: int):
+    """A chain whose lower super layer alone is rank deficient (``M_1`` cut
+    to rank ``d - 1``), and a loss whose gradient at its product is
+    orthogonal to the range of the product of the top ``top`` layers, with
+    ``top`` from ``pick``; so the mirrored walk first finds its rows inside
+    the gradient null space at its layer ``top`` (when that is above 0)."""
+    rng = np.random.default_rng(seed)
+    chain, loss = _generic(dims, rng, quadratic)
+    factors = list(chain.factors)
+    factors[0] = best_rank_approx(factors[0], min(dims) - 1)
+    chain = FactorChain(tuple(factors))
+    top = pick % (chain.k - interior_bottleneck(dims) + 1)
+    if top == 0:
+        return chain, loss
+    u, s, _ = np.linalg.svd(running_product(factors[-top:]))
+    perp = u[:, numerical_rank(np.diag(s)):]
+    grad = perp @ (perp.T @ rng.uniform(-1.0, 1.0, (dims[-1], dims[0])))
+    grad *= 0.5 / max(np.abs(grad).max(), 1e-300)
+    w = end_to_end(chain)
+    if quadratic:
+        x = loss.inputs
+        return chain, QuadraticLoss(x, w @ x - 0.5 * grad @ np.linalg.solve(x @ x.T, x))
+    return chain, LogCoshLoss(w - np.arctanh(grad))
+
+
+def _outcome(build, chain, loss, delta):
+    """The certificate ``build`` returns, or the type of what it raises."""
+    try:
+        return build(chain, loss, delta=delta)
+    except (ValueError, RuntimeError) as exc:  # the package's refusals
+        return type(exc)
+
+
+@given(
+    st.sampled_from(_ONE_BOTTLENECK),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(0, 3),
+    st.sampled_from((None, 1e-3, 0.1)),
+)
+def test_mirrored_escape_is_the_reversed_escape_bit_for_bit(dims, seed, quadratic, pick, delta):
+    chain, loss = _lower_deficient(dims, seed, quadratic, pick)
+    split = bottleneck_split(chain)
+    assume(numerical_rank(split.above) == split.width > numerical_rank(split.below))
+
+    cert = _outcome(escape_construction_mirrored, chain, loss, delta)
+    rev = _outcome(escape_construction, reversed_chain(chain), TransposedLoss(loss), delta)
+    if isinstance(cert, type) or isinstance(rev, type):
+        assert cert is rev
+        return
+    assert (cert.side, rev.side) == ("above", "below")
+    assert (cert.containment_start, cert.witness_row) == (rev.containment_start, rev.witness_row)
+    for name in ("delta", "super_gradient_norm", "loss_delta", "original_loss"):
+        assert getattr(cert, name).hex() == getattr(rev, name).hex(), name
+    k = chain.k
+    for i, m in enumerate(cert.perturbed_chain.factors):
+        assert m.tobytes() == rev.perturbed_chain.factors[k - 1 - i].T.tobytes()
+    assert len(cert.family) == len(rev.family)
+    for p, q in zip(cert.family, reversed(rev.family)):
+        assert p.layer == k + 1 - q.layer
+        assert p.w.tobytes() == q.v.tobytes() and p.v.tobytes() == q.w.tobytes()
 
 
 @given(st.sampled_from(_DIMS), st.integers(0, 2**32 - 1), st.booleans())

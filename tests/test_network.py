@@ -11,7 +11,6 @@ from dln_landscape.network import (
     NoInteriorBottleneckError,
     QuadraticLoss,
     ShapeMismatchError,
-    TransposedLoss,
     bottleneck_split,
     chain_loss,
     end_to_end,
@@ -212,22 +211,6 @@ class TestLogCoshLoss:
         loss = LogCoshLoss(t)
         assert loss.value(t) == 0.0
         assert np.array_equal(loss.gradient(t), np.zeros((1, 2)))
-
-
-class TestTransposedLoss:
-    def test_value_and_gradient_consistency(self):
-        rng = _rng(4)
-        base = QuadraticLoss(rng.standard_normal((3, 6)), rng.standard_normal((2, 6)))
-        t = TransposedLoss(base)
-        v = rng.standard_normal((3, 2))
-        assert t.value(v) == base.value(v.T)
-        assert np.array_equal(t.gradient(v), base.gradient(v.T).T)
-        assert (t.out_rows, t.in_cols) == (base.in_cols, base.out_rows)
-
-    def test_contract_still_holds(self):
-        rng = _rng(5)
-        base = LogCoshLoss(rng.standard_normal((2, 3)))
-        validate_loss_contract(TransposedLoss(base), _rng(6))
 
 
 class TestLayerGradients:

@@ -241,6 +241,13 @@ class TestMirroredConstruction:
         cert = escape_construction_mirrored(chain, loss)
         assert np.array_equal(end_to_end(cert.perturbed_chain), end_to_end(chain))
 
+    def test_full_rank_lower_super_layer_is_named(self):
+        # A generic chain: its lower super layer, which the mirrored escape
+        # needs rank deficient, has full rank.
+        inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=3))
+        with pytest.raises(FullRankAboveError, match="lower super layer has full rank 2"):
+            escape_construction_mirrored(inst.chain, inst.loss)
+
     def test_reversed_chain_products(self):
         chain = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=9)).chain
         rev = reversed_chain(chain)

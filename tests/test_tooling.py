@@ -1,25 +1,29 @@
 """The names that the benchmark tracer wraps and that the package and its
-modules export exist, and each public name has one import path.
+modules export exist, the benchmark's direct calls bind, and each public
+name has one import path.
 
-``perfbench/tracing.py`` wraps package functions by name, so a deleted or
-renamed function would otherwise surface only when the traced benchmark
-runs.  The tracer is read as source, not imported, so this test writes
-nothing under ``perfbench/``.  A module's ``__all__`` lists only names that
-module defines, and a public name one module imports from another is in
-the exporter's ``__all__``; the package root re-exports nothing.  Every
-name a module imports is used in it or listed in its ``__all__``.  No
-module multiplies with the ``@`` operator: products go through
-``ndarray.dot`` (see the ``network`` module docstring).
+``perfbench/tracing.py`` wraps package functions by name, and the
+benchmark's workloads call package functions directly, so a deleted or
+renamed function, or a changed signature, would otherwise surface only when
+the benchmark runs.  The benchmark is read as source, not imported, so
+these tests write nothing under ``perfbench/``.  A module's ``__all__``
+lists only names that module defines, and a public name one module imports
+from another is in the exporter's ``__all__``; the package root re-exports
+nothing.  Every name a module imports is used in it or listed in its
+``__all__``.  No module multiplies with the ``@`` operator: products go
+through ``ndarray.dot`` (see the ``network`` module docstring).
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import dln_landscape
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 PACKAGE = Path(dln_landscape.__file__).resolve().parent
 
 
@@ -40,6 +44,47 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"dln_landscape.{module}"), name, None))
     ]
     assert not missing, f"traced but missing: {missing}"
+
+
+def _bench_references():
+    """``(where, module, name, call)`` for every ``pkg.<module>.<name>`` in
+    the benchmark's source, with the ``ast.Call`` node when it is called."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "pkg"
+            ):
+                where = f"{path.name}:{node.lineno}"
+                yield where, node.value.attr, node.attr, calls.get(id(node))
+
+
+def test_every_benchmark_call_resolves_and_binds():
+    problems = []
+    seen = 0
+    for where, module, name, call in _bench_references():
+        target = getattr(importlib.import_module(f"dln_landscape.{module}"), name, None)
+        if target is None:
+            problems.append(f"{where}: {module}.{name} does not exist")
+            continue
+        if call is None:
+            continue
+        seen += 1
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            kw.arg is None for kw in call.keywords
+        ):
+            problems.append(f"{where}: {module}.{name} is called with * or ** arguments")
+            continue
+        try:
+            inspect.signature(target).bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            problems.append(f"{where}: {module}.{name}: {exc}")
+    assert seen, "no direct package call found in the benchmark"
+    assert not problems, problems
 
 
 def test_every_package_export_resolves():
