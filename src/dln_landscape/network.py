@@ -38,11 +38,12 @@ super layers' Gram matrices are equal, where ``verify`` starts (and every
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_INVARIANCE_TOL, ensure_matrix, numerical_rank
+from .linalg import DEFAULT_INVARIANCE_TOL, _finite_rank, ensure_matrix
 
 __all__ = [
     "ShapeMismatchError",
@@ -87,6 +88,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _norm(g: np.ndarray) -> float:
+    """``np.linalg.norm(g)`` of a 2-D array without its dispatch: the square
+    root of the same dot product over the same flattening."""
+    flat = g.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,7 @@ class QuadraticLoss(ConvexLoss):
         return w.dot(self.inputs) - self.targets
 
     def _value(self, r: np.ndarray) -> float:
-        return float((r * r).sum())
+        return float(np.add.reduce(r * r, None))
 
     def _gradient(self, r: np.ndarray) -> np.ndarray:
         return (2.0 * r).dot(self.inputs.T)
@@ -255,7 +263,7 @@ class LogCoshLoss(ConvexLoss):
         return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
     def _value(self, w: np.ndarray) -> float:
-        return float(self._logcosh(w - self.target).sum())
+        return float(np.add.reduce(self._logcosh(w - self.target), None))
 
     def _gradient(self, w: np.ndarray) -> np.ndarray:
         return np.tanh(w - self.target)
@@ -481,7 +489,8 @@ def balance_gauge(factors) -> list[np.ndarray]:
         if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
             return mats
         d = lower.shape[0]
-        if numerical_rank(upper) < d or numerical_rank(lower) < d:
+        # Both are finite, so the rank test skips numerical_rank's scan.
+        if _finite_rank(upper) < d or _finite_rank(lower) < d:
             return mats
         lower_gram = _sqrt_pair(lower.dot(lower.T))
         if lower_gram is None:
@@ -497,8 +506,8 @@ def balance_gauge(factors) -> list[np.ndarray]:
         gauged[j - 1] = gauge[0].dot(mats[j - 1])
         gauged[j] = mats[j].dot(gauge[1])
         product = running_product(mats)
-        drift = float(np.linalg.norm(running_product(gauged) - product))
-        bound = DEFAULT_INVARIANCE_TOL * (1.0 + float(np.linalg.norm(product)))
+        drift = _norm(running_product(gauged) - product)
+        bound = DEFAULT_INVARIANCE_TOL * (1.0 + _norm(product))
     return gauged if drift <= bound else mats
 
 

@@ -16,12 +16,15 @@ block and the layers above it, and the next gradient reuses the accepted
 trial's.  Each trial also builds the loss's residual once (``W X - Y`` for
 the quadratic loss), for its value; the next gradient takes the accepted
 trial's residual, so an accepted step forms the end-to-end product and its
-residual once.
+residual once.  A step reads its gradients in one pass, and the whole call
+runs under one ``np.errstate``; the chain list is rebuilt from the block it
+works on only for ``on_state`` and for the result.  Sums of floats add up
+left to right with ``+=``: builtin ``sum()`` is compensated from Python
+3.12 on and would round differently there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +33,7 @@ import numpy as np
 from .network import (
     ConvexLoss,
     _finite_loss_state,
+    _norm,
     gradient_core,
     prefix_products,
     running_product,
@@ -57,13 +61,6 @@ BACKTRACK = 0.5
 STEP_INIT = 1.0
 STEP_GROW = 2.0
 MIN_STEP = 1e-18
-
-
-def _norm(g: np.ndarray) -> float:
-    """``np.linalg.norm(g)`` without its dispatch: the square root of the
-    same dot product over the same flattening."""
-    flat = g.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
 
 
 @dataclass
@@ -117,8 +114,21 @@ def armijo_gd(
     Armijo decrease is below rounding); the returned factors are then the
     current iterate, not that trial.  A negative ``max_steps``, a negative
     or non-finite ``stop_grad_tol``, or a start whose end-to-end product,
-    loss value or convex gradient is not finite raises ``ValueError``; the
-    start is computed without floating-point warnings.
+    loss value or convex gradient is not finite raises ``ValueError``.
+
+    The squared gradient norm and the inner product are sums over the
+    active layers in layer order, added left to right from 0.0 on every
+    Python version, and ``max_grad`` is the largest layer-gradient norm as
+    builtin ``max`` takes it over that order (a NaN in first place stays).
+    The whole call, ``on_state`` included, runs under one
+    ``np.errstate(over="ignore", invalid="ignore")``, and the caller's state
+    is back when it returns or raises.  So a gradient that overflows at an
+    accepted, finite product passes without a warning.  The result still
+    reports it: the step's squared gradient norm is then not finite, no
+    finite trial value passes the Armijo test, and the run stops
+    ``line-search-stalled`` with a ``max_grad`` that is not finite (unless
+    the only non-finite norms are NaNs after a finite one, which ``max``
+    skips).
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
@@ -133,46 +143,58 @@ def armijo_gd(
     current = [np.array(m, dtype=np.float64) for m in factors]
     # The frozen layers below the lowest active one, multiplied once.  As
     # products accumulate from the bottom, a trial product over this head is
-    # bitwise the product over the whole chain.
+    # bitwise the product over the whole chain.  The loop works on ``block``,
+    # the head and the layers from the lowest active one up.
     lo = active[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        head = [running_product(current[: lo - 1])] if lo > 1 else []
-        below = prefix_products(head + current[lo - 1 :])
-    # The one shape check, and the one finiteness check, of the start.
-    residual, value, grad = _finite_loss_state(below[-1], loss)
-    shift = lo - 1 - len(head)
-    positions = [i - shift for i in active]  # the active layers in the block
-    t = STEP_INIT
-    last = None  # the last accepted step's gradients and their squared norm
-    steps = 0
-    while True:
-        # The forward products, the residual and the convex gradient are the
-        # accepted trial's (or the start's).
-        grads = gradient_core(head + current[lo - 1 :], below, grad, positions)
-        max_grad = max(_norm(g) for g in grads.values())
-        if on_state is not None:
-            on_state(steps, current, value, max_grad)
-        if max_grad <= stop_grad_tol:
-            status = STATUS_CRITICAL
-            break
-        if steps >= max_steps:
-            status = STATUS_BUDGET
-            break
-        squared = sum(float((g * g).sum()) for g in grads.values())
-        first = t * STEP_GROW
-        if last is not None:
-            last_grads, last_squared = last
-            curvature = last_squared - sum(float(np.vdot(last_grads[p], grads[p])) for p in grads)
-            if curvature > 0:
-                first = t * last_squared / curvature
-        t = min(first, 1e12)
-        # An overflowing trial counts as a failed Armijo test, silently.
-        with np.errstate(over="ignore", invalid="ignore"):
+    frozen = current[: lo - 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the one context of the call
+        head = [running_product(frozen)] if frozen else []
+        block = head + current[lo - 1 :]
+        below = prefix_products(block)
+        # The one shape check, and the one finiteness check, of the start.
+        residual, value, grad = _finite_loss_state(below[-1], loss)
+        skip = len(head)
+        positions = [i - lo + 1 + skip for i in active]  # the active layers in the block
+        t = STEP_INIT
+        last = None  # the last accepted step's gradients and their squared norm
+        steps = 0
+        while True:
+            # The forward products, the residual and the convex gradient are
+            # the accepted trial's (or the start's).  One pass over the
+            # gradients, in layer order, takes the largest norm as builtin
+            # max would (a NaN first stays), and sums the squared norms and
+            # the inner products with the last step's gradients left to right.
+            grads = gradient_core(block, below, grad, positions)
+            max_grad = None
+            squared = inner = 0.0
+            for p, g in grads.items():
+                norm = _norm(g)
+                if max_grad is None or norm > max_grad:
+                    max_grad = norm
+                squared += float(np.add.reduce(g * g, None))
+                if last is not None:
+                    inner += float(np.vdot(last[0][p], g))
+            if on_state is not None:
+                on_state(steps, frozen + block[skip:], value, max_grad)
+            if max_grad <= stop_grad_tol:
+                status = STATUS_CRITICAL
+                break
+            if steps >= max_steps:
+                status = STATUS_BUDGET
+                break
+            first = t * STEP_GROW
+            if last is not None:
+                last_squared = last[1]
+                curvature = last_squared - inner
+                if curvature > 0:
+                    first = t * last_squared / curvature
+            t = min(first, 1e12)
+            # An overflowing trial counts as a failed Armijo test, silently.
             while t >= MIN_STEP:
-                trial = list(current)
-                for i in active:
-                    trial[i - 1] = current[i - 1] - t * grads[i - shift]
-                trial_below = prefix_products(head + trial[lo - 1 :])
+                trial = list(block)
+                for p in positions:
+                    trial[p - 1] = block[p - 1] - t * grads[p]
+                trial_below = prefix_products(trial)
                 product = trial_below[-1]
                 trial_residual = loss._residual(product)
                 trial_value = loss._value(trial_residual)
@@ -183,13 +205,13 @@ def armijo_gd(
             else:  # no step above MIN_STEP passed the Armijo test
                 status = STATUS_LINE_SEARCH
                 break
-        if trial_value == value:
-            status = STATUS_PRECISION
-            break
-        current, below, residual, value = trial, trial_below, trial_residual, trial_value
-        grad = loss._gradient(residual)
-        last = grads, squared
-        steps += 1
+            if trial_value == value:
+                status = STATUS_PRECISION
+                break
+            block, below, residual, value = trial, trial_below, trial_residual, trial_value
+            grad = loss._gradient(residual)
+            last = grads, squared
+            steps += 1
     return GDResult(
-        factors=current, loss=value, status=status, steps=steps, max_grad=max_grad
+        factors=frozen + block[skip:], loss=value, status=status, steps=steps, max_grad=max_grad
     )

@@ -466,12 +466,13 @@ def _section_oracle_vs_restarts(seed: int, trials: int) -> SectionResult:
     )
 
 
-def _csv_round_trip(matrix: np.ndarray, directory: Path) -> list[str]:
-    """Save ``matrix`` as CSV under ``directory``, load it back and save the
-    loaded matrix again; return what changed: the bits of the loaded matrix
-    or the bytes of the rewritten file."""
-    first = directory / "probe_a.csv"
-    second = directory / "probe_b.csv"
+def _csv_round_trip(matrix: np.ndarray, directory: Path, name: str = "probe") -> list[str]:
+    """Save ``matrix`` as ``<name>_a.csv`` under ``directory``, load it back
+    and save the loaded matrix again as ``<name>_b.csv``; return what
+    changed: the bits of the loaded matrix or the bytes of the rewritten
+    file."""
+    first = directory / f"{name}_a.csv"
+    second = directory / f"{name}_b.csv"
     save_matrix_csv(first, matrix)
     loaded = load_matrix_csv(first)
     save_matrix_csv(second, loaded)
@@ -487,31 +488,33 @@ def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
     problems: list[str] = []
     checks = 0
     seeds = _instance_seeds(seed, 9, max(1, trials))
-    for t, inst_seed in enumerate(seeds):
-        dims = _PLATEAU_DIMS[t % len(_PLATEAU_DIMS)]
-        spec = InstanceSpec(dims=dims, seed=inst_seed)
-        a = gen_instance(spec)
-        b = gen_instance(spec)
-        same = all(
-            x.tobytes() == y.tobytes() for x, y in zip(a.chain.factors, b.chain.factors)
-        ) and a.loss.inputs.tobytes() == b.loss.inputs.tobytes() and a.loss.targets.tobytes() == b.loss.targets.tobytes()
-        if not same:
-            problems.append("regeneration was not bit-identical")
-        checks += 1
+    # One directory for the section; each trial writes files of its own
+    # names, so none reads a file that an earlier trial left.
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for t, inst_seed in enumerate(seeds):
+            dims = _PLATEAU_DIMS[t % len(_PLATEAU_DIMS)]
+            spec = InstanceSpec(dims=dims, seed=inst_seed)
+            a = gen_instance(spec)
+            b = gen_instance(spec)
+            same = all(
+                x.tobytes() == y.tobytes() for x, y in zip(a.chain.factors, b.chain.factors)
+            ) and a.loss.inputs.tobytes() == b.loss.inputs.tobytes() and a.loss.targets.tobytes() == b.loss.targets.tobytes()
+            if not same:
+                problems.append("regeneration was not bit-identical")
+            checks += 1
 
-        probe = stream(inst_seed, _SECTION_KEY_BASE + 9, t)
-        m = probe.standard_normal((3, 4))
-        m[0, 0] = -0.0
-        m[0, 1] = 1e-300
-        m[1, 0] = -1e300
-        m[1, 1] = np.pi * 1e-10
-        with tempfile.TemporaryDirectory() as tmp:
-            problems.extend(_csv_round_trip(m, Path(tmp)))
-        checks += 1
+            probe = stream(inst_seed, _SECTION_KEY_BASE + 9, t)
+            m = probe.standard_normal((3, 4))
+            m[0, 0] = -0.0
+            m[0, 1] = 1e-300
+            m[1, 0] = -1e300
+            m[1, 1] = np.pi * 1e-10
+            problems.extend(_csv_round_trip(m, directory, f"probe_{t}"))
+            checks += 1
 
-        _, trajectory = train_gd(a.chain, a.loss, max_steps=3)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.csv"
+            _, trajectory = train_gd(a.chain, a.loss, max_steps=3)
+            path = directory / f"trajectory_{t}.csv"
             save_trajectory_csv(path, trajectory)
             points = load_trajectory_csv(path)
             if len(points) != len(trajectory.points):
@@ -527,7 +530,7 @@ def _section_determinism_roundtrip(seed: int, trials: int) -> SectionResult:
                     ):
                         problems.append("trajectory round-trip changed a point")
                         break
-        checks += 1
+            checks += 1
     passed = not problems
     detail = (
         f"{checks} regeneration and file round-trips were bit-identical"

@@ -275,6 +275,50 @@ def test_balance_gauge_equalizes_the_super_layer_grams(dims, seed, quadratic):
     assert report.split_index == base.split_index
 
 
+def _cut_chain(d, below, above, rng, deficient):
+    """A chain whose one interior minimum width ``d`` sits after ``below``
+    layers, with ``above`` layers over it and outer widths ``d + 1 .. d + 3``.
+    A super layer named in ``deficient`` is exactly rank deficient: the
+    layer next to the cut has its last row (below) or column (above) equal
+    to twice its first one, or zero when ``d == 1``, and scaling by two
+    commutes with rounding, so the super layer's product shares it."""
+    widths = [int(w) for w in d + rng.integers(1, 4, size=below)]
+    widths += [d] + [int(w) for w in d + rng.integers(1, 4, size=above)]
+    mats = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(len(widths) - 1)]
+    scale = 2.0 if d > 1 else 0.0
+    if "lower" in deficient:
+        mats[below - 1][d - 1] = scale * mats[below - 1][0]
+    if "upper" in deficient:
+        mats[below][:, d - 1] = scale * mats[below][:, 0]
+    return mats
+
+
+@given(
+    st.sampled_from((1, 2, 3, 8, 9, 10)),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.sampled_from(((), ("lower",), ("upper",), ("lower", "upper"))),
+    st.integers(0, 2**32 - 1),
+)
+def test_balance_gauge_refuses_a_super_layer_below_full_rank(d, below, above, deficient, seed):
+    mats = _cut_chain(d, below, above, np.random.default_rng(seed), deficient)
+    assert interior_bottleneck((mats[0].shape[1],) + tuple(m.shape[0] for m in mats)) == below
+    ranks = {
+        "lower": numerical_rank(running_product(mats[:below])),
+        "upper": numerical_rank(running_product(mats[below:])),
+    }
+    for side in deficient:
+        assert ranks[side] < d, side
+    balanced = balance_gauge(mats)
+    assert len(balanced) == len(mats)
+    if min(ranks.values()) < d:
+        assert all(got is want for got, want in zip(balanced, mats))
+    else:
+        product = running_product(mats)
+        bound = DEFAULT_INVARIANCE_TOL * (1.0 + np.linalg.norm(product))
+        assert np.linalg.norm(running_product(balanced) - product) <= bound
+
+
 def _breaching_chain() -> FactorChain:
     """Widths 2-1-2-2 whose upper super layer ``M_3 M_2`` cancels a 1e12
     column down to order one, so any rescaling at the cut moves the product

@@ -77,11 +77,17 @@ def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
         if steps >= max_steps:
             status = STATUS_BUDGET
             break
-        squared = sum(float(np.sum(g**2)) for g in grads.values())
+        # Sums left to right: builtin sum() is compensated from Python 3.12.
+        squared = 0.0
+        for g in grads.values():
+            squared += float(np.sum(g**2))
         first = t * STEP_GROW
         if last is not None:
             last_grads, last_squared = last
-            curvature = last_squared - sum(float(np.vdot(last_grads[i], grads[i])) for i in active)
+            inner = 0.0
+            for i in active:
+                inner += float(np.vdot(last_grads[i], grads[i]))
+            curvature = last_squared - inner
             if curvature > 0:
                 first = t * last_squared / curvature
         t = min(first, 1e12)
@@ -467,3 +473,70 @@ def test_a_start_whose_product_overflows_is_refused(loss_kind, active):
     factors = [1e160 * m for m in inst.chain.factors]
     with pytest.raises(ValueError, match=_OVERFLOW_MESSAGE):
         armijo_gd(factors, inst.loss, active, 10, STOP_GRAD_TOL)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _raise_at_step_2(step, current, value, max_grad):
+    if step == 2:
+        raise _Stop
+
+
+def _refused_start():
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=1, data_scale=1e160))
+    armijo_gd(inst.chain.factors, inst.loss, range(1, 5), 10, STOP_GRAD_TOL)
+
+
+def _returns():
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=0))
+    armijo_gd(inst.chain.factors, inst.loss, range(1, 5), 10, STOP_GRAD_TOL)
+
+
+def _on_state_raises():
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=0))
+    armijo_gd(inst.chain.factors, inst.loss, range(1, 5), 10, STOP_GRAD_TOL,
+              on_state=_raise_at_step_2)
+
+
+@pytest.mark.parametrize("run, raises", [
+    (_returns, None),
+    (_on_state_raises, _Stop),
+    (_refused_start, ValueError),
+], ids=("returns", "on-state-raises", "start-refused"))
+@pytest.mark.parametrize("outer", [{}, {"all": "raise"}], ids=("default", "raise"))
+def test_the_error_state_is_restored(run, raises, outer):
+    # One errstate covers the whole descent; the caller's state comes back
+    # however the call ends.
+    with np.errstate(**outer):
+        before = np.geterr()
+        if raises is None:
+            run()
+        else:
+            with pytest.raises(raises):
+                run()
+        assert np.geterr() == before
+
+
+class _GradientOverflowsLoss(QuadraticLoss):
+    """The quadratic loss whose convex gradient overflows from its second
+    evaluation on, at finite products and finite values."""
+
+    calls = 0
+
+    def _gradient(self, r):
+        self.calls += 1
+        g = super()._gradient(r)
+        return g if self.calls == 1 else g * 1e300 * 1e300
+
+
+def test_a_gradient_that_overflows_after_a_step_stalls_quietly():
+    # Warnings are errors in this suite: the overflow passes without one,
+    # and the result reports it.
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=0))
+    loss = _GradientOverflowsLoss(inst.loss.inputs, inst.loss.targets)
+    result = armijo_gd(inst.chain.factors, loss, range(1, 5), 10, STOP_GRAD_TOL)
+    assert (result.status, result.steps) == (STATUS_LINE_SEARCH, 1)
+    assert not np.isfinite(result.max_grad)
+    assert np.isfinite(result.loss)

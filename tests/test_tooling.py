@@ -11,7 +11,9 @@ lists only names that module defines, and a public name one module imports
 from another is in the exporter's ``__all__``; the package root re-exports
 nothing.  Every name a module imports is used in it or listed in its
 ``__all__``.  No module multiplies with the ``@`` operator: products go
-through ``ndarray.dot`` (see the ``network`` module docstring).
+through ``ndarray.dot`` (see the ``network`` module docstring).  The
+descent adds its floats up left to right, not with builtin ``sum()``,
+which is compensated from Python 3.12 and would round differently there.
 """
 
 import ast
@@ -169,3 +171,13 @@ def test_no_product_uses_the_matmul_operator():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert not found, f"products written with @ instead of ndarray.dot: {found}"
+
+
+def test_the_descent_calls_no_builtin_sum():
+    tree = _module_trees()["optim"]
+    found = [
+        f"optim.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert not found, f"builtin sum() rounds by Python version: {found}"

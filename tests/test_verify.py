@@ -208,6 +208,21 @@ class TestSectionRobustness:
         )
 
 
+# A `dln verify` seed at which the section fails: its trial 0, a (2,1,1,2)
+# quadratic plateau, escapes to a chain whose only nonzero layer gradient
+# (4.9e-9) is below DEFAULT_GRAD_TOL, so the descent stops stalled-critical
+# at step 0.  It passes once the escape picks a direction that the active
+# layers can descend along.
+_STALLING_ESCAPE_SEED = 41557401035949958
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the escape direction can leave the active layers' gradient below tolerance")
+def test_escape_and_descent_passes_at_a_seed_where_its_descent_stalls():
+    section = _section_escape_and_descent(_STALLING_ESCAPE_SEED, 4)
+    assert section.passed, section.detail
+
+
 # sha256 over the balanced-start descents of verify's two oracle cores:
 # status, steps, final loss and factor bytes of `_oracle_runs` at instance
 # seeds 0-7, then the best loss of `_restart_best` on eight restart data sets.
