@@ -166,16 +166,16 @@ class ConvexLoss(abc.ABC):
     """A convex, differentiable function of the end-to-end product matrix.
 
     Implementations expose the shape they accept (``out_rows`` x ``in_cols``)
-    plus ``value`` and ``gradient``.  These check the product (a finite 2-D
-    array of that shape), map it to a residual with ``_residual`` and hand
-    that to the unchecked cores ``_value`` and ``_gradient``.  A subclass
-    implements the two cores, both functions of the residual; it may
-    override ``_residual``, which defaults to the identity, with the part of
-    the work the two share, so that a caller that needs both at one product
-    (:meth:`value_and_gradient`, the descent loop of ``optim``) builds it
-    once.  The descent loop calls ``_residual`` and the cores directly: it
-    checks the shape once per call and the finiteness of the trial product
-    it accepts.  The contract — gradient consistent with central finite
+    and two unchecked cores, ``_value`` and ``_gradient``, both functions of
+    the residual that ``_residual`` (the identity unless overridden) makes
+    of the product, so a caller that needs both at one product builds it
+    once.  The public ``value`` and ``gradient`` check the product (a finite
+    2-D array of that shape) first.  :func:`_finite_loss_state` is the one
+    checked evaluation of both, and also refuses a value or gradient that
+    is not finite: ``classify``, the escape entry points, the load-time
+    check and the start of ``optim``'s descent read it.  The descent loop
+    then calls the cores directly, testing each trial product it accepts
+    for finiteness.  The contract — gradient consistent with central finite
     differences, midpoint convexity — is spot-checkable via
     :func:`validate_loss_contract`.
     """
@@ -188,11 +188,6 @@ class ConvexLoss(abc.ABC):
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self._gradient(self._residual(self._check_shape(w)))
-
-    def value_and_gradient(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(value(w), gradient(w))`` from one shape check and one residual."""
-        r = self._residual(self._check_shape(w))
-        return self._value(r), self._gradient(r)
 
     def _residual(self, w: np.ndarray) -> np.ndarray:
         return w

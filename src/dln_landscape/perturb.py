@@ -34,6 +34,7 @@ from .network import (
     BottleneckSplit,
     ConvexLoss,
     FactorChain,
+    _finite_loss_state,
     partial_product,
     prefix_products,
     split_or_raise,
@@ -250,9 +251,14 @@ def escape_construction(
     Raises :class:`GradientVanishesError` (global minimum — nothing to do),
     :class:`FullRankAboveError` (no kernel family above the cut), or
     :class:`ConstructionFailedError` (also when a witness score,
-    super-layer gradient or loss change is inf or NaN).
+    super-layer gradient or loss change is inf or NaN).  A bad ``delta``,
+    then a loss or convex gradient that is not finite, raise ``ValueError``.
     """
-    return _escape_walk(chain, loss, delta, tols, split, "below")
+    _check_delta(delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = prefix_products(chain.factors)
+        _, value, grad = _finite_loss_state(below[-1], loss)
+    return _escape_walk(chain, loss, delta, tols, split, "below", below, value, grad)
 
 
 def escape_construction_mirrored(
@@ -269,9 +275,15 @@ def escape_construction_mirrored(
     :func:`escape_construction`, run on the views ``M_k^T, ..., M_1^T``
     with the loss taken at the transpose of their product, perturbs layers
     ``j+1..k`` of the original chain.  The returned certificate is
-    expressed in the original frame (``side == "above"``).
+    expressed in the original frame (``side == "above"``).  Its pass is
+    built top-down on those views, since ``X.dot(Y)`` and
+    ``(Y^T.dot(X^T))^T`` can differ in the last bits.
     """
-    return _escape_walk(chain, loss, delta, tols, split, "above")
+    _check_delta(delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = prefix_products([m.T for m in reversed(chain.factors)])
+        _, value, grad = _finite_loss_state(below[-1].T, loss)
+    return _escape_walk(chain, loss, delta, tols, split, "above", below, value, grad.T)
 
 
 def reversed_chain(chain: FactorChain) -> FactorChain:
@@ -280,9 +292,11 @@ def reversed_chain(chain: FactorChain) -> FactorChain:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _escape_walk(chain, loss, delta, tols, split, side: str) -> EscapeCertificate:
+def _escape_walk(chain, loss, delta, tols, split, side: str,
+                 below, original_loss, grad) -> EscapeCertificate:
     """The walk of :func:`escape_construction`, on the views ``M_k^T, ...,
-    M_1^T`` when ``side == "above"``, certified in the original frame."""
+    M_1^T`` when ``side == "above"``, certified in the original frame, from
+    the frame's prefix products and the loss and gradient at their end."""
     split = split_or_raise(chain, split)
     k, flip = chain.k, side == "above"
 
@@ -292,10 +306,6 @@ def _escape_walk(chain, loss, delta, tols, split, side: str) -> EscapeCertificat
 
     mats = frame(chain.factors)
     j = k - split.index if flip else split.index
-    below = prefix_products(mats)  # below[i - 1] = mats[i - 1] ... mats[0]
-    product = below[-1]
-    original_loss, grad = loss.value_and_gradient(product.T if flip else product)
-    grad = grad.T if flip else grad
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= tols.grad_tol:
         raise GradientVanishesError(
@@ -305,7 +315,6 @@ def _escape_walk(chain, loss, delta, tols, split, side: str) -> EscapeCertificat
     scale = default_delta(chain)
     if delta is None:
         delta = scale
-    _check_delta(delta)
     # The escaped super-layer gradient is linear in delta, so its floor is
     # grad_tol at the default scale and shrinks with a smaller delta.
     gradient_floor = tols.grad_tol * min(1.0, delta / scale)
@@ -360,7 +369,6 @@ def _escape_walk(chain, loss, delta, tols, split, side: str) -> EscapeCertificat
     for i in range(1, j + 1):
         if np.any(vs[i - 1] != 0.0):
             moved_mats[i - 1] = mats[i - 1] + np.outer(kernels[i - 1], vs[i - 1])
-    perturbed = FactorChain(tuple(frame(moved_mats)))
     perturbed_below = prefix_products(moved_mats)
     lower, moved = perturbed_below[j - 1], perturbed_below[-1]
     scores = _row_scores(lower, grad)
@@ -398,7 +406,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str) -> EscapeCertificat
             diagnostics,
         )
     return EscapeCertificate(
-        perturbed_chain=perturbed,
+        perturbed_chain=FactorChain(tuple(frame(moved_mats))),
         family=family,
         side=side,
         witness_row=witness_row,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from dln_landscape import analyze, perturb
 from dln_landscape.analyze import (
     Classification,
     DescentNotFoundError,
@@ -12,6 +14,7 @@ from dln_landscape.analyze import (
     two_layer_reduction,
 )
 from dln_landscape.harness import CONSTRUCTIONS, InstanceSpec, gen_instance
+from dln_landscape.linalg import Tolerances
 from dln_landscape.network import (
     FactorChain,
     NoInteriorBottleneckError,
@@ -19,6 +22,11 @@ from dln_landscape.network import (
     bottleneck_split,
     chain_loss,
     layer_gradients,
+)
+from dln_landscape.perturb import (
+    ConstructionFailedError,
+    escape_construction,
+    escape_construction_mirrored,
 )
 from dln_landscape.verify import canonical_plateau
 
@@ -31,6 +39,10 @@ class TestSuperGradients:
         grad = inst.loss.gradient(split.above @ split.below)
         assert np.allclose(g_above, grad @ split.below.T, rtol=1e-12, atol=1e-12)
         assert np.allclose(g_below, split.above.T @ grad, rtol=1e-12, atol=1e-12)
+        # The reduction is literally the two-layer chain (below, above).
+        two_layer = layer_gradients(FactorChain((split.below, split.above)), inst.loss)
+        assert g_above.tobytes() == two_layer[1].tobytes()
+        assert g_below.tobytes() == two_layer[0].tobytes()
 
     def test_requires_interior_bottleneck(self):
         inst = gen_instance(InstanceSpec(dims=(2, 3, 2), seed=1))
@@ -179,7 +191,7 @@ class TestDescentSearch:
     def test_negative_budget_rejected(self):
         chain, loss = canonical_plateau()
         report = classify(chain, loss)
-        with pytest.raises(ValueError, match="max_steps must be non-negative, got -1"):
+        with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
             descent_search(chain, loss, report, budget=-1)
 
     def test_wrong_label_rejected(self):
@@ -228,3 +240,107 @@ class TestDescentSearch:
         report = classify(chain, loss)
         better = descent_search(chain, loss, report, budget=500)
         assert chain_loss(better, loss) < report.loss
+
+
+_OVERFLOW_MESSAGE = "the loss or its gradient at the end-to-end product overflows"
+
+
+def _huge(construction: str, where: str):
+    """A 1e160-scaled instance: with ``where == "data"`` the data are finite
+    and so is the product, but ``|W X - Y|²`` overflows; with ``"factors"``
+    every factor is scaled instead, and a generic chain's prefix products
+    overflow."""
+    scale = 1e160 if where == "data" else 1.0
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), construction=construction,
+                                     seed=1, data_scale=scale))
+    if where == "data":
+        return inst.chain, inst.loss
+    return FactorChain(tuple(1e160 * m for m in inst.chain.factors)), inst.loss
+
+
+@pytest.mark.parametrize("construction, where", (
+    ("generic", "data"), ("rank_deficient_plateau", "data"), ("generic", "factors"),
+))
+@pytest.mark.parametrize("analysis", (classify, escape_construction, escape_construction_mirrored))
+def test_an_overflowing_loss_is_refused(analysis, construction, where):
+    # Warnings are errors in this suite, so the refusal is also quiet.
+    with pytest.raises(ValueError, match=_OVERFLOW_MESSAGE):
+        analysis(*_huge(construction, where))
+
+
+@pytest.mark.parametrize("analysis", (classify, escape_construction, escape_construction_mirrored))
+def test_a_default_delta_that_overflows_fails_the_construction(analysis):
+    # The plateau's product is zero, but the default delta, 1e-3 times the
+    # largest factor norm, overflows: the certificate fails, naming it.
+    with pytest.raises(ConstructionFailedError, match="perturbed chain overflows at delta inf"):
+        analysis(*_huge("rank_deficient_plateau", "factors"))
+
+
+@pytest.mark.parametrize("construction, label", (
+    ("generic", Classification.NOT_CRITICAL),
+    ("rank_deficient_plateau", Classification.ESCAPABLE_PLATEAU),
+))
+def test_a_finite_logcosh_loss_on_huge_data_keeps_its_label(construction, label):
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), construction=construction,
+                                     loss_kind="logcosh", seed=1, data_scale=1e160))
+    assert classify(inst.chain, inst.loss).label is label
+
+
+@pytest.mark.parametrize("kind", ("quadratic", "logcosh"))
+def test_classify_makes_one_first_order_pass(monkeypatch, kind):
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), construction="rank_deficient_plateau",
+                                     loss_kind=kind, seed=1))
+    calls = {"_gradient": 0, "_value": 0, "_residual": 0, "prefix_products": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_gradient", "_value", "_residual"):
+        monkeypatch.setattr(inst.loss, name, counted(name, getattr(inst.loss, name)))
+    own, real = inst.chain.factors, analyze.prefix_products
+
+    def prefix_products(mats):
+        if len(mats) == len(own) and all(a is b for a, b in zip(mats, own)):
+            calls["prefix_products"] += 1
+        return real(mats)
+
+    monkeypatch.setattr(analyze, "prefix_products", prefix_products)
+    monkeypatch.setattr(perturb, "prefix_products", prefix_products)
+    report = classify(inst.chain, inst.loss)
+    assert report.label is Classification.ESCAPABLE_PLATEAU
+    # One pass at the product, one gradient at above·below, one value at
+    # the perturbed product.
+    assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1}
+
+
+def _certificate_bytes(cert) -> list:
+    floats = (cert.delta, cert.super_gradient_norm, cert.loss_delta, cert.original_loss)
+    return [
+        cert.side, cert.witness_row, cert.containment_start, *(x.hex() for x in floats),
+        *(m.tobytes() for m in cert.perturbed_chain.factors),
+        *((p.layer, p.w.tobytes(), p.v.tobytes()) for p in cert.family),
+    ]
+
+
+@given(
+    st.sampled_from(((3, 4, 2, 4, 3), (2, 3, 1, 4, 2), (4, 5, 2, 3, 4, 3), (3, 2, 3), (2, 1, 1, 2))),
+    st.sampled_from(("quadratic", "logcosh")),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((None, 1e-3)),
+)
+def test_classify_certificate_is_the_escape_construction_bit_for_bit(dims, kind, seed, delta):
+    tols = Tolerances()
+    inst = gen_instance(InstanceSpec(dims=dims, construction="rank_deficient_plateau",
+                                     loss_kind=kind, seed=seed))
+    split = bottleneck_split(inst.chain)
+    try:
+        got = classify(inst.chain, inst.loss, tols=tols, delta=delta).escape
+    except (ValueError, RuntimeError) as exc:  # the package's refusals
+        with pytest.raises(type(exc)):
+            escape_construction(inst.chain, inst.loss, delta=delta, tols=tols, split=split)
+        return
+    want = escape_construction(inst.chain, inst.loss, delta=delta, tols=tols, split=split)
+    assert _certificate_bytes(got) == _certificate_bytes(want)

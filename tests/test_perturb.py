@@ -149,6 +149,19 @@ class TestEscapeConstruction:
         with pytest.raises(GradientVanishesError):
             escape_construction(inst.chain, inst.loss)
 
+    @pytest.mark.parametrize("build", (escape_construction, escape_construction_mirrored))
+    @pytest.mark.parametrize("dims, construction, delta", (
+        ((3, 4, 2, 4, 3), "factored_global", -1.0),
+        ((2, 3, 2), "generic", float("nan")),
+        ((3, 4, 2, 4, 3), "rank_deficient_plateau", float("inf")),
+    ))
+    def test_bad_delta_refused_before_any_work(self, build, dims, construction, delta):
+        # A certified global minimum and a chain without a bottleneck would
+        # each raise their own error if the walk ran first.
+        inst = gen_instance(InstanceSpec(dims=dims, construction=construction, seed=6))
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            build(inst.chain, inst.loss, delta=delta)
+
     def test_full_rank_above_rejected(self):
         inst = gen_instance(
             InstanceSpec(dims=(3, 4, 2, 4, 3), construction="full_rank_critical", seed=7)
