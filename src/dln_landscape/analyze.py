@@ -24,12 +24,10 @@ constructive follow-up:
   diagnostic and no escape is attempted.
 
 One checked first-order pass serves a report: :func:`classify` builds the
-prefix products, loss and convex gradient once, and an escape on the below
-side reads them.  The super gradients are taken at ``above·below``, the
-two-layer objective's own product, whose bytes the analyze goldens in the
-tests pin.  The mirrored escape builds its own pass top-down: ``X.dot(Y)``
-and ``(Y^T.dot(X^T))^T`` differ in the last bits for 877 of 3,000 random
-shapes up to 40 wide (OpenBLAS 0.3.31, x86-64).
+prefix products, loss and convex gradient once, and the escape on either
+side of the cut reads them, so the certificate starts from the report's
+loss.  The super gradients are taken at ``above·below``, the two-layer
+objective's own product, whose bytes the analyze goldens in the tests pin.
 """
 
 from __future__ import annotations
@@ -54,12 +52,7 @@ from .network import (
 )
 from .oracle import rrr_oracle
 from .optim import STATUS_BUDGET, armijo_gd
-from .perturb import (
-    EscapeCertificate,
-    _check_delta,
-    _escape_walk,
-    escape_construction_mirrored,
-)
+from .perturb import EscapeCertificate, _check_delta, _escape_walk
 
 __all__ = [
     "Classification",
@@ -121,8 +114,8 @@ def super_gradients(
     :func:`gradient_core` on the two-layer chain ``(below, above)``, so
     ``(d/d_above, d/d_below) = (G @ below^T, above^T @ G)`` with ``G`` the
     convex gradient at ``above·below``: that objective's own product, not
-    :func:`classify`'s one pass nor the mirrored escape's top-down one.
-    Requires an interior bottleneck.
+    the end-to-end product of :func:`classify`'s one pass.  Requires an
+    interior bottleneck.
     """
     split = split_or_raise(chain, split)
     mats = (split.below, split.above)
@@ -161,10 +154,9 @@ def classify(
     given but not positive and finite raises ``ValueError`` on every chain,
     before any work.
 
-    The report comes from one checked pass (``ValueError`` unless its loss
-    and convex gradient are finite), which a below-side escape reuses; the
-    super gradients are taken at ``above·below``, and a mirrored escape
-    builds its own pass top-down.
+    One checked pass (``ValueError`` unless its loss and gradient norm are
+    finite) serves the report and its escape on either side; the super
+    gradients are taken at ``above·below``.
     """
     _check_delta(delta)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,12 +197,8 @@ def classify(
         )
     elif min(rank_above, rank_below) < split.width:
         label = Classification.ESCAPABLE_PLATEAU
-        if rank_above < split.width:
-            escape = _escape_walk(chain, loss, delta, tols, split, "below", below, value, grad)
-        else:
-            escape = escape_construction_mirrored(
-                chain, loss, delta=delta, tols=tols, split=split
-            )
+        side = "below" if rank_above < split.width else "above"
+        escape = _escape_walk(chain, loss, delta, tols, split, side, below, value, grad)
     else:
         label = Classification.REDUCIBLE_FULL_RANK
 

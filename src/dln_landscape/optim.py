@@ -114,7 +114,7 @@ def armijo_gd(
     Armijo decrease is below rounding); the returned factors are then the
     current iterate, not that trial.  A negative ``max_steps``, a negative
     or non-finite ``stop_grad_tol``, or a start whose end-to-end product,
-    loss value or convex gradient is not finite raises ``ValueError``.
+    loss value or convex-gradient norm is not finite raises ``ValueError``.
 
     The squared gradient norm and the inner product are sums over the
     active layers in layer order, added left to right from 0.0 on every

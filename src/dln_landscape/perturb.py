@@ -10,10 +10,10 @@ construct *escape certificates*: perturbed chains with (numerically) the
 same loss whose lower super layer sees a nonzero gradient, witnessing that a
 critical chain sits on an escapable plateau rather than at a local minimum.
 
-A rank-deficient lower super layer is the transposed case, and one walk
-serves both: on the chain's own factors (``escape_construction``), or on
-the views ``M_k^T, ..., M_1^T`` with the loss taken at the transpose of
-their product (``escape_construction_mirrored``), mapped back at the end.
+A rank-deficient lower super layer is the transposed case.  One walk, from
+one bottom-up pass over the chain's factors, serves both: on the factors
+(``escape_construction``), or on the views ``M_k^T, ..., M_1^T``
+(``escape_construction_mirrored``), mapped back at the end.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .network import (
     _finite_loss_state,
     partial_product,
     prefix_products,
+    running_product,
     split_or_raise,
     suffix_products,
 )
@@ -107,9 +108,8 @@ class EscapeCertificate:
     witness_row
         Index of the row of the perturbed super-layer product with the
         largest relative violation ``|G r| / |r|`` of gradient-null-space
-        membership.  For ``side == "above"`` the row index refers to the
-        reversed/transposed frame, i.e. a column of the perturbed upper
-        product.
+        membership.  For ``side == "above"`` it is a row of the transposed
+        frame, a column of the perturbed upper product.
     containment_start
         Smallest layer index whose unperturbed partial product had all rows
         inside the gradient null space (0 when the original chain already
@@ -156,22 +156,17 @@ def kernel_family(
     through the rank-deficient upper super layer.  Raises
     :class:`FullRankAboveError` when the upper super layer has full rank.
     """
-    return _kernels(chain.factors, split, False, rank_tol)
+    above = suffix_products(chain.factors, 1)
+    return _kernels([above[i] for i in range(1, split.index + 1)], split.above, "upper", rank_tol)
 
 
-def _kernels(mats, split: BottleneckSplit, flip: bool, rank_tol: float) -> list[np.ndarray]:
-    """:func:`kernel_family` of ``mats``, the chain's factors or, with
-    ``flip``, their reversed transposes, where the lower super layer must
-    be rank deficient."""
-    d = split.width
-    if numerical_rank(split.below if flip else split.above, rank_tol) >= d:
-        raise FullRankAboveError(
-            f"{'lower' if flip else 'upper'} super layer has full rank {d}; "
-            "no kernel family exists"
-        )
-    above = suffix_products(mats, 1)
-    j = len(mats) - split.index if flip else split.index
-    return [kernel_vector(above[i], rank_tol) for i in range(1, j + 1)]
+def _kernels(products, super_layer, name: str, rank_tol: float) -> list[np.ndarray]:
+    """Unit kernel vectors of ``products``, which all factor through the
+    ``name`` super layer; :class:`FullRankAboveError` if that has full rank."""
+    d = min(super_layer.shape)
+    if numerical_rank(super_layer, rank_tol) >= d:
+        raise FullRankAboveError(f"{name} super layer has full rank {d}; no kernel family exists")
+    return [kernel_vector(p, rank_tol) for p in products]
 
 
 def apply_family(chain: FactorChain, family: Sequence[RankOnePerturbation]) -> FactorChain:
@@ -252,13 +247,9 @@ def escape_construction(
     :class:`FullRankAboveError` (no kernel family above the cut), or
     :class:`ConstructionFailedError` (also when a witness score,
     super-layer gradient or loss change is inf or NaN).  A bad ``delta``,
-    then a loss or convex gradient that is not finite, raise ``ValueError``.
+    then a loss or gradient norm that is not finite, raise ``ValueError``.
     """
-    _check_delta(delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        below = prefix_products(chain.factors)
-        _, value, grad = _finite_loss_state(below[-1], loss)
-    return _escape_walk(chain, loss, delta, tols, split, "below", below, value, grad)
+    return _escape(chain, loss, delta, tols, split, "below")
 
 
 def escape_construction_mirrored(
@@ -272,18 +263,23 @@ def escape_construction_mirrored(
 
     Transposing the end-to-end product swaps the roles of the two super
     layers while preserving convexity of the loss, so the walk of
-    :func:`escape_construction`, run on the views ``M_k^T, ..., M_1^T``
-    with the loss taken at the transpose of their product, perturbs layers
-    ``j+1..k`` of the original chain.  The returned certificate is
-    expressed in the original frame (``side == "above"``).  Its pass is
-    built top-down on those views, since ``X.dot(Y)`` and
-    ``(Y^T.dot(X^T))^T`` can differ in the last bits.
+    :func:`escape_construction`, run on the views ``M_k^T, ..., M_1^T``,
+    perturbs layers ``j+1..k``; the certificate is expressed in the
+    original frame (``side == "above"``).  It starts from the same
+    bottom-up pass: the views' prefix products are the chain's suffix
+    products transposed, and their kernel products its prefix products.
     """
+    return _escape(chain, loss, delta, tols, split, "above")
+
+
+def _escape(chain, loss, delta, tols, split, side: str) -> EscapeCertificate:
+    """Both escape entry points: refuse a bad ``delta``, build the chain's
+    one checked bottom-up pass, and walk ``side``."""
     _check_delta(delta)
     with np.errstate(over="ignore", invalid="ignore"):
-        below = prefix_products([m.T for m in reversed(chain.factors)])
-        _, value, grad = _finite_loss_state(below[-1].T, loss)
-    return _escape_walk(chain, loss, delta, tols, split, "above", below, value, grad.T)
+        below = prefix_products(chain.factors)
+        _, value, grad = _finite_loss_state(below[-1], loss)
+    return _escape_walk(chain, loss, delta, tols, split, side, below, value, grad)
 
 
 def reversed_chain(chain: FactorChain) -> FactorChain:
@@ -294,9 +290,11 @@ def reversed_chain(chain: FactorChain) -> FactorChain:
 @np.errstate(over="ignore", invalid="ignore")
 def _escape_walk(chain, loss, delta, tols, split, side: str,
                  below, original_loss, grad) -> EscapeCertificate:
-    """The walk of :func:`escape_construction`, on the views ``M_k^T, ...,
-    M_1^T`` when ``side == "above"``, certified in the original frame, from
-    the frame's prefix products and the loss and gradient at their end."""
+    """The walk of :func:`escape_construction` from the chain's prefix
+    products ``below`` and the loss and gradient at their end.  With ``side
+    == "above"`` it runs on the views ``M_k^T, ..., M_1^T`` and ``G^T``,
+    whose prefix products are the chain's suffix products transposed; a
+    step there multiplies as those do, ``(c^T m^T)^T``, to the bit."""
     split = split_or_raise(chain, split)
     k, flip = chain.k, side == "above"
 
@@ -313,28 +311,32 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
             f"{tols.grad_tol:g}: point is a certified global minimum"
         )
     scale = default_delta(chain)
-    if delta is None:
-        delta = scale
+    delta = scale if delta is None else delta
     # The escaped super-layer gradient is linear in delta, so its floor is
     # grad_tol at the default scale and shrinks with a smaller delta.
     gradient_floor = tols.grad_tol * min(1.0, delta / scale)
 
     if flip:
-        kernels = _kernels(mats, split, flip, tols.rank_tol)
+        kernels = _kernels([below[k - 1 - i].T for i in range(1, j + 1)],
+                           split.below, "lower", tols.rank_tol)
+        above = suffix_products(chain.factors, split.index)
+        prefixes, grad = [above[k - i].T for i in range(1, j + 1)], grad.T
+        step = lambda m, c: c.T.dot(m.T).T  # noqa: E731
     else:
         kernels = kernel_family(chain, split, tols.rank_tol)
+        prefixes, step = below, lambda m, c: m.dot(c)  # noqa: E731
     member_threshold = tols.subspace_tol * grad_norm
 
     # Find the first layer whose (unperturbed) partial product is fully
     # contained in the gradient null space.
     containment_start = 0
     for i in range(1, j + 1):
-        scores = _row_scores(below[i - 1], grad)
+        scores = _row_scores(prefixes[i - 1], grad)
         if np.all(scores <= member_threshold):
             containment_start = i
             break
 
-    vs: list[np.ndarray] = [np.zeros(mats[i - 1].shape[1]) for i in range(1, j + 1)]
+    vs: list[np.ndarray] = [np.zeros(m.shape[1]) for m in mats[:j]]
     first = j + 1  # containment_start 0: the lower super layer already escapes
     if containment_start == 1:
         # No escaped rows exist below layer 1; seed the escape with the
@@ -350,9 +352,9 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
     elif containment_start > 1:
         # Layer containment_start fails the escape test below by
         # definition, so the walk perturbs it first.
-        current, first = below[containment_start - 2], containment_start
+        current, first = prefixes[containment_start - 2], containment_start
     for i in range(first, j + 1):
-        candidate = mats[i - 1].dot(current)
+        candidate = step(mats[i - 1], current)
         if np.max(_row_scores(candidate, grad)) > member_threshold:
             current = candidate
         else:
@@ -369,12 +371,15 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
     for i in range(1, j + 1):
         if np.any(vs[i - 1] != 0.0):
             moved_mats[i - 1] = mats[i - 1] + np.outer(kernels[i - 1], vs[i - 1])
-    perturbed_below = prefix_products(moved_mats)
-    lower, moved = perturbed_below[j - 1], perturbed_below[-1]
+    factors, lower = frame(moved_mats), moved_mats[0]
+    for m in moved_mats[1:j]:
+        lower = step(m, lower)
+    # No layer below the cut moves on the above side: ``below`` holds the
+    # perturbed chain's lower super layer there.
+    moved = running_product([below[split.index - 1] if flip else lower, *factors[split.index:]])
     scores = _row_scores(lower, grad)
     witness_row = int(np.argmax(scores))
     super_gradient_norm = float(np.linalg.norm(grad.dot(lower.T)))
-    moved = moved.T if flip else moved
     loss_delta = (loss.value(moved) if np.all(np.isfinite(moved)) else np.inf) - original_loss
 
     diagnostics = {
@@ -406,7 +411,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
             diagnostics,
         )
     return EscapeCertificate(
-        perturbed_chain=FactorChain(tuple(frame(moved_mats))),
+        perturbed_chain=FactorChain(tuple(factors)),
         family=family,
         side=side,
         witness_row=witness_row,

@@ -4,7 +4,7 @@ Matrices are written in decimal with 17 significant digits, which
 round-trips IEEE-754 doubles exactly — reading a file back yields bitwise
 the entries that were written.  Manifests are JSON with sorted keys and a
 fixed layout, so identical objects serialize to identical bytes.  Non-finite
-values, and instances whose loss or convex gradient is not finite, are
+values, and instances whose loss or convex-gradient norm is not finite, are
 rejected on both paths, before anything is written.
 
 Matrix files are read by ``numpy.loadtxt``, whose C parser converts each

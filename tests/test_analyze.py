@@ -14,13 +14,15 @@ from dln_landscape.analyze import (
     two_layer_reduction,
 )
 from dln_landscape.harness import CONSTRUCTIONS, InstanceSpec, gen_instance
-from dln_landscape.linalg import Tolerances
+from dln_landscape.linalg import Tolerances, best_rank_approx, numerical_rank
 from dln_landscape.network import (
     FactorChain,
+    LogCoshLoss,
     NoInteriorBottleneckError,
     QuadraticLoss,
     bottleneck_split,
     chain_loss,
+    end_to_end,
     layer_gradients,
 )
 from dln_landscape.perturb import (
@@ -286,11 +288,12 @@ def test_a_finite_logcosh_loss_on_huge_data_keeps_its_label(construction, label)
     assert classify(inst.chain, inst.loss).label is label
 
 
-@pytest.mark.parametrize("kind", ("quadratic", "logcosh"))
-def test_classify_makes_one_first_order_pass(monkeypatch, kind):
-    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), construction="rank_deficient_plateau",
-                                     loss_kind=kind, seed=1))
-    calls = {"_gradient": 0, "_value": 0, "_residual": 0, "prefix_products": 0}
+def _count_first_order_calls(monkeypatch, chain, loss) -> dict:
+    """The loss-core calls and the ``prefix_products`` builds over the
+    chain's own factors or over their reversed transposes that one
+    ``classify`` of ``chain`` makes."""
+    calls = {"_gradient": 0, "_value": 0, "_residual": 0, "prefix_products": 0,
+             "reversed_prefix_products": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -299,21 +302,42 @@ def test_classify_makes_one_first_order_pass(monkeypatch, kind):
         return wrapper
 
     for name in ("_gradient", "_value", "_residual"):
-        monkeypatch.setattr(inst.loss, name, counted(name, getattr(inst.loss, name)))
-    own, real = inst.chain.factors, analyze.prefix_products
+        monkeypatch.setattr(loss, name, counted(name, getattr(loss, name)))
+    own, real = chain.factors, analyze.prefix_products
 
     def prefix_products(mats):
         if len(mats) == len(own) and all(a is b for a, b in zip(mats, own)):
             calls["prefix_products"] += 1
+        if len(mats) == len(own) and all(a.base is b for a, b in zip(mats, own[::-1])):
+            calls["reversed_prefix_products"] += 1
         return real(mats)
 
     monkeypatch.setattr(analyze, "prefix_products", prefix_products)
     monkeypatch.setattr(perturb, "prefix_products", prefix_products)
-    report = classify(inst.chain, inst.loss)
+    report = classify(chain, loss)
     assert report.label is Classification.ESCAPABLE_PLATEAU
+    return calls
+
+
+@pytest.mark.parametrize("kind", ("quadratic", "logcosh"))
+def test_classify_makes_one_first_order_pass(monkeypatch, kind):
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), construction="rank_deficient_plateau",
+                                     loss_kind=kind, seed=1))
+    calls = _count_first_order_calls(monkeypatch, inst.chain, inst.loss)
     # One pass at the product, one gradient at above·below, one value at
     # the perturbed product.
-    assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1}
+    assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1,
+                     "reversed_prefix_products": 0}
+
+
+def test_mirrored_classify_makes_one_first_order_pass(monkeypatch):
+    # The seed-11 chain with layers 1 and 2 zeroed escapes on the above
+    # side, from the same one pass as a below-side escape.
+    base = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=11))
+    chain = base.chain.with_factor(1, np.zeros((4, 3))).with_factor(2, np.zeros((2, 4)))
+    calls = _count_first_order_calls(monkeypatch, chain, base.loss)
+    assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1,
+                     "reversed_prefix_products": 0}
 
 
 def _certificate_bytes(cert) -> list:
@@ -344,3 +368,46 @@ def test_classify_certificate_is_the_escape_construction_bit_for_bit(dims, kind,
         return
     want = escape_construction(inst.chain, inst.loss, delta=delta, tols=tols, split=split)
     assert _certificate_bytes(got) == _certificate_bytes(want)
+
+
+def _lower_deficient_critical(dims, kind: str, seed: int):
+    """A critical chain whose lower super layer alone is rank deficient.
+
+    ``M_1`` of a generic chain is cut to rank ``d - 1``.  With ``U`` an
+    orthonormal basis orthogonal to the range of the upper super layer,
+    ``V`` one orthogonal to the row space of the lower one and ``R = U Z
+    V^T``, the quadratic targets ``W X + R (X X^T)^{-1} X / 2`` make the
+    convex gradient ``-R``, and the log-cosh target ``W - artanh(-c R)``
+    makes it ``-c R``; either kills every layer gradient."""
+    inst = gen_instance(InstanceSpec(dims=dims, loss_kind=kind, seed=seed))
+    factors = list(inst.chain.factors)
+    factors[0] = best_rank_approx(factors[0], min(dims) - 1)
+    chain = FactorChain(tuple(factors))
+    split = bottleneck_split(chain)
+    u = np.linalg.svd(split.above)[0][:, numerical_rank(split.above):]
+    v = np.linalg.svd(split.below)[2][numerical_rank(split.below):].T
+    r = u @ np.random.default_rng(seed).standard_normal((u.shape[1], v.shape[1])) @ v.T
+    w = end_to_end(chain)
+    if kind == "quadratic":
+        x = inst.loss.inputs
+        return chain, QuadraticLoss(x, w @ x + 0.5 * r @ np.linalg.solve(x @ x.T, x))
+    return chain, LogCoshLoss(w - np.arctanh(-0.5 * r / np.abs(r).max()))
+
+
+@given(
+    st.sampled_from(((3, 4, 2, 4, 3), (2, 3, 1, 4, 2), (4, 5, 2, 3, 4, 3), (3, 2, 3), (2, 1, 1, 2),
+                     (5, 3, 2, 4, 6))),
+    st.sampled_from(("quadratic", "logcosh")),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((None, 1e-3)),
+)
+def test_mirrored_certificate_starts_from_the_reports_loss(dims, kind, seed, delta):
+    tols = Tolerances()
+    chain, loss = _lower_deficient_critical(dims, kind, seed)
+    report = classify(chain, loss, tols=tols, delta=delta)
+    assert report.label is Classification.ESCAPABLE_PLATEAU
+    assert report.escape.side == "above"
+    assert report.escape.original_loss.hex() == report.loss.hex()
+    want = escape_construction_mirrored(chain, loss, delta=delta, tols=tols,
+                                        split=bottleneck_split(chain))
+    assert _certificate_bytes(report.escape) == _certificate_bytes(want)

@@ -434,6 +434,15 @@ def _plateau(tmp_path, seed):
                     "--construction", "rank_deficient_plateau"))
 
 
+def _plateau_with_huge_data(tmp_path):
+    """The seed-3 plateau with ``X`` scaled by 1e200: its loss and every
+    gradient entry are finite, but the gradient's norm overflows."""
+    inst = _plateau(tmp_path, 3)
+    x = Path(inst) / "X.csv"
+    save_matrix_csv(x, 1e200 * load_matrix_csv(x))
+    return inst
+
+
 _GEN = ["gen", "--dims", "3,4,2,4,3"]
 
 # case -> (exit code, argv builder); every builder names tmp_path / "out" as
@@ -456,6 +465,10 @@ _REFUSED = {
         3, lambda t: ["perturb", _plateau(t, 7), "--delta", "1e300", "--out", str(t / "out")]),
     "perturb plateau whose perturbed product overflows": (
         3, lambda t: ["perturb", _plateau(t, 3), "--delta", "1e300", "--out", str(t / "out")]),
+    "analyze plateau whose gradient norm overflows": (
+        1, lambda t: ["analyze", _plateau_with_huge_data(t)]),
+    "perturb plateau whose gradient norm overflows": (
+        1, lambda t: ["perturb", _plateau_with_huge_data(t), "--out", str(t / "out")]),
 }
 
 
