@@ -3,28 +3,34 @@
 The full-chain trainer (``harness.train_gd``), the post-escape descent
 search (``analyze.descent_search``) and the oracle and restart runs of
 ``verify`` all run this loop: steepest descent on a chosen subset of layers
-with Armijo backtracking, strictly monotone by construction,
-single-threaded and deterministic.  The first trial of each line search is
-the Barzilai–Borwein step ``sᵀs / sᵀy`` of the last accepted step (Barzilai
-& Borwein 1988), and the loop stops as soon as an accepted step leaves the
-loss bit-identical, since no later step can lower it.  It works on plain
-arrays and takes its products and gradients from the ``network`` core, so a
-step builds no chain objects.  The layers below the lowest active one never
-change, so their product is built once per call and heads the chain the
-loop works on: a line-search trial's forward products cover only the active
-block and the layers above it, and the next gradient reuses the accepted
-trial's.  Each trial also builds the loss's residual once (``W X - Y`` for
-the quadratic loss), for its value; the next gradient takes the accepted
-trial's residual, so an accepted step forms the end-to-end product and its
-residual once.  A step reads its gradients in one pass, and the whole call
-runs under one ``np.errstate``; the chain list is rebuilt from the block it
-works on only for ``on_state`` and for the result.  Sums of floats add up
-left to right with ``+=``: builtin ``sum()`` is compensated from Python
-3.12 on and would round differently there.
+with Armijo backtracking, single-threaded and deterministic.  The first
+trial of each line search is the Barzilai–Borwein step ``sᵀs / sᵀy`` of the
+last accepted step (Barzilai & Borwein 1988), and the Armijo test compares
+a trial against the largest of the last ``window`` accepted losses (Grippo,
+Lampariello & Lucidi 1986; Raydan 1997).  At the default ``window=1`` that
+is the current loss, so the descent is strictly monotone by construction;
+``verify``'s balanced descents pass a longer window, and there an accepted
+step can raise the loss, though never above the start's.  The loop stops as
+soon as an accepted step leaves the loss bit-identical, since no later step
+can lower it.  It works on plain arrays and takes its products and
+gradients from the ``network`` core, so a step builds no chain objects.
+The layers below the lowest active one never change, so their product is
+built once per call and heads the chain the loop works on: a line-search
+trial's forward products cover only the active block and the layers above
+it, and the next gradient reuses the accepted trial's.  Each trial also
+builds the loss's residual once (``W X - Y`` for the quadratic loss), for
+its value; the next gradient takes the accepted trial's residual, so an
+accepted step forms the end-to-end product and its residual once.  A step
+reads its gradients in one pass, and the whole call runs under one
+``np.errstate``; the chain list is rebuilt from the block it works on only
+for ``on_state`` and for the result.  Sums of floats add up left to right
+with ``+=``: builtin ``sum()`` is compensated from Python 3.12 on and would
+round differently there.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,6 +85,7 @@ def armijo_gd(
     max_steps: int,
     stop_grad_tol: float,
     on_state: Callable[[int, list[np.ndarray], float, float], None] | None = None,
+    window: int = 1,
 ) -> GDResult:
     """Steepest descent with Armijo backtracking on selected layers.
 
@@ -92,6 +99,13 @@ def armijo_gd(
     builds one ``loss._residual`` per trial product, takes the trial's
     value from it with ``loss._value``, and the next gradient from the
     accepted trial's with ``loss._gradient``.
+    A trial passes the Armijo test when its value is at most the reference
+    loss less ``ARMIJO_C·t·‖g‖²``; the reference is the largest of the last
+    ``window`` accepted losses, the start's counting as the first (Grippo,
+    Lampariello & Lucidi 1986).  At ``window=1`` it is the current loss, and
+    every accepted step lowers the loss; with ``window > 1`` an accepted step
+    can raise it, though never above the reference, so no iterate's loss
+    exceeds the start's.
     The first trial of each line search is the Barzilai–Borwein step
     ``sᵀs / sᵀy`` of the last accepted step.  With ``s = -t·g_prev`` and
     ``y = g - g_prev`` that is ``t·‖g_prev‖² / (‖g_prev‖² - ⟨g_prev, g⟩)``,
@@ -104,7 +118,7 @@ def armijo_gd(
     shipped losses an inf or NaN value that fails it, and the test on the
     passing trial keeps any loss from accepting one.  ``on_state`` is
     invoked with ``(step, factors, loss, max_grad)`` for the initial state
-    (step 0) and after every accepted step that lowered the loss.
+    (step 0) and after every accepted step.
 
     Stops with status ``stalled-critical`` when the largest active-layer
     gradient norm drops to ``stop_grad_tol``, ``budget-exhausted`` after
@@ -113,8 +127,9 @@ def armijo_gd(
     an accepted trial's loss equals the current loss to the bit (the
     Armijo decrease is below rounding); the returned factors are then the
     current iterate, not that trial.  A negative ``max_steps``, a negative
-    or non-finite ``stop_grad_tol``, or a start whose end-to-end product,
-    loss value or convex-gradient norm is not finite raises ``ValueError``.
+    or non-finite ``stop_grad_tol``, a ``window`` below 1, or a start whose
+    end-to-end product, loss value or convex-gradient norm is not finite
+    raises ``ValueError``.
 
     The squared gradient norm and the inner product are sums over the
     active layers in layer order, added left to right from 0.0 on every
@@ -134,6 +149,8 @@ def armijo_gd(
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if not (stop_grad_tol >= 0.0 and np.isfinite(stop_grad_tol)):
         raise ValueError(f"stop_grad_tol must be non-negative and finite, got {stop_grad_tol!r}")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if not active_layers:
         raise ValueError("active_layers must be non-empty")
     active = sorted(set(int(i) for i in active_layers))
@@ -155,6 +172,7 @@ def armijo_gd(
         residual, value, grad = _finite_loss_state(below[-1], loss)
         skip = len(head)
         positions = [i - lo + 1 + skip for i in active]  # the active layers in the block
+        recent = deque([value], maxlen=window)  # the last accepted losses
         t = STEP_INIT
         last = None  # the last accepted step's gradients and their squared norm
         steps = 0
@@ -189,6 +207,7 @@ def armijo_gd(
                 if curvature > 0:
                     first = t * last_squared / curvature
             t = min(first, 1e12)
+            reference = max(recent)
             # An overflowing trial counts as a failed Armijo test, silently.
             while t >= MIN_STEP:
                 trial = list(block)
@@ -198,7 +217,7 @@ def armijo_gd(
                 product = trial_below[-1]
                 trial_residual = loss._residual(product)
                 trial_value = loss._value(trial_residual)
-                if (trial_value <= value - ARMIJO_C * t * squared
+                if (trial_value <= reference - ARMIJO_C * t * squared
                         and np.isfinite(product).all()):
                     break
                 t *= BACKTRACK
@@ -209,6 +228,7 @@ def armijo_gd(
                 status = STATUS_PRECISION
                 break
             block, below, residual, value = trial, trial_below, trial_residual, trial_value
+            recent.append(value)
             grad = loss._gradient(residual)
             last = grads, squared
             steps += 1

@@ -381,7 +381,7 @@ class TestOracle:
 
 # sha256 of the stdout of ``dln verify --seed 42``, the report whose bytes
 # stay the same unless a change says why.
-PINNED_VERIFY_SEED_42_DIGEST = "dbdcfb88b8c22f0f2fa59cd89fffb24a28317dc1ae60e1568559cac3a833e68f"
+PINNED_VERIFY_SEED_42_DIGEST = "6a7f3cfb7bc9ef7b6d00bee55ccaf16cb82531c281d8a58dd57189eb1ad987bf"
 
 
 class TestVerify:

@@ -13,6 +13,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from dln_landscape import optim
 from dln_landscape.analyze import Classification, classify
@@ -540,3 +541,49 @@ def test_a_gradient_that_overflows_after_a_step_stalls_quietly():
     assert (result.status, result.steps) == (STATUS_LINE_SEARCH, 1)
     assert not np.isfinite(result.max_grad)
     assert np.isfinite(result.loss)
+
+
+@pytest.mark.parametrize("window", (0, -1))
+def test_a_window_below_one_is_refused(window):
+    inst = gen_instance(InstanceSpec((3, 4, 2, 4, 3), seed=0))
+    with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+        armijo_gd(inst.chain.factors, inst.loss, range(1, 5), 10, STOP_GRAD_TOL, window=window)
+
+
+@given(
+    st.sampled_from(((3, 4, 2, 4, 3), (2, 3, 1, 4, 2), (4, 5, 2, 5, 4))),
+    st.sampled_from(("generic", "rank_deficient_plateau")),
+    st.sampled_from(("quadratic", "logcosh")),
+    st.sampled_from(("all", "upper", "lower", "sparse")),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+)
+def test_a_windowed_search_never_rises_above_its_start(dims, construction, loss_kind, name, seed, window):
+    inst = gen_instance(
+        InstanceSpec(dims=dims, construction=construction, loss_kind=loss_kind, seed=seed)
+    )
+    chain = inst.chain
+    if construction == "rank_deficient_plateau":
+        report = classify(chain, inst.loss)
+        assume(report.label is Classification.ESCAPABLE_PLATEAU)
+        chain = report.escape.perturbed_chain
+    active = _active_sets(chain)[name]
+    start = armijo_gd(chain.factors, inst.loss, active, 0, STOP_GRAD_TOL).loss
+    values = []
+    result = armijo_gd(chain.factors, inst.loss, active, MAX_STEPS, STOP_GRAD_TOL,
+                       on_state=lambda step, current, value, max_grad: values.append(value),
+                       window=window)
+    # Each accepted loss is at most the largest of the `window` losses before
+    # it, so none rises above the start's.
+    assert values[0] == start and len(values) == result.steps + 1
+    for k in range(1, len(values)):
+        assert values[k] <= max(values[max(0, k - window):k])
+    assert all(value <= start for value in values)
+    assert result.loss <= start
+    # The default window is the monotone search, bit for bit.
+    monotone = armijo_gd(chain.factors, inst.loss, active, MAX_STEPS, STOP_GRAD_TOL)
+    one = armijo_gd(chain.factors, inst.loss, active, MAX_STEPS, STOP_GRAD_TOL, window=1)
+    assert (one.status, one.steps) == (monotone.status, monotone.steps)
+    assert np.float64(one.loss).tobytes() == np.float64(monotone.loss).tobytes()
+    for got, want in zip(one.factors, monotone.factors, strict=True):
+        assert got.tobytes() == want.tobytes()

@@ -10,11 +10,14 @@ import dln_landscape.verify as verify_module
 from dln_landscape.analyze import Classification, DescentNotFoundError, classify
 from dln_landscape.cli import main
 from dln_landscape.harness import InstanceSpec, gen_instance
-from dln_landscape.network import FactorChain, chain_loss, layer_gradients
+from dln_landscape.linalg import DEFAULT_GRAD_TOL
+from dln_landscape.network import FactorChain, LogCoshLoss, QuadraticLoss, chain_loss, layer_gradients
 from dln_landscape.optim import STATUS_CRITICAL, STATUS_PRECISION, GDResult
 from dln_landscape.perturb import ConstructionFailedError
 from dln_landscape.verify import (
     _RESTART_TRIPLES,
+    _TRAINER_DIMS,
+    _balanced_descent,
     _oracle_runs,
     _restart_best,
     _section_escape_and_descent,
@@ -155,7 +158,7 @@ class TestSectionRobustness:
     def test_only_a_critical_stall_explains_a_missed_oracle(self, monkeypatch, status, explained):
         # Every run stops at its start, far above the oracle, at a point the
         # analyzer calls critical: only a stalled-critical stop explains that.
-        def stopped(factors, loss, active_layers, max_steps, stop_grad_tol):
+        def stopped(factors, loss, active_layers, max_steps, stop_grad_tol, **_):
             return GDResult(list(factors), chain_loss(FactorChain(factors), loss), status, 0, 1.0)
 
         def critical(chain, loss):
@@ -208,6 +211,50 @@ class TestSectionRobustness:
         )
 
 
+def test_the_oracle_runs_stop_at_their_goal_with_the_same_verdicts():
+    # A run that stops at its goal ends a chunk at or below it; a run that
+    # never reaches it is the run without a target, bit for bit.
+    shortened = 0
+    for seed, (_, result, oracle_loss, near) in enumerate(_oracle_runs(range(16))):
+        goal = oracle_loss + 1e-5 * (1.0 + abs(oracle_loss))
+        inst = gen_instance(InstanceSpec(dims=_TRAINER_DIMS, seed=seed))
+        full = _balanced_descent(inst.chain.factors, inst.loss, 4000, DEFAULT_GRAD_TOL)
+        assert near == (full.loss <= goal), seed
+        if near:
+            assert result.loss <= goal and result.steps <= full.steps, seed
+            shortened += result.steps < full.steps
+        else:
+            assert (result.status, result.steps, result.loss) == (full.status, full.steps, full.loss)
+    assert shortened > 0
+
+
+def test_the_balanced_descents_take_few_line_search_trials(monkeypatch):
+    # Loss values per accepted step over the two oracle sections: 1.87 with
+    # the Armijo test against the current loss, 1.38 against the largest of
+    # the last 10 losses.
+    values = steps = 0
+
+    for cls in (QuadraticLoss, LogCoshLoss):
+        def counted(self, r, core=cls._value):
+            nonlocal values
+            values += 1
+            return core(self, r)
+
+        monkeypatch.setattr(cls, "_value", counted)
+
+    def counted_gd(*args, _gd=verify_module.armijo_gd, **kwargs):
+        nonlocal steps
+        result = _gd(*args, **kwargs)
+        steps += result.steps
+        return result
+
+    monkeypatch.setattr(verify_module, "armijo_gd", counted_gd)
+    for seed in range(4):
+        for section in (_section_trainer_vs_oracle(seed, 4), _section_oracle_vs_restarts(seed, 4)):
+            assert section.passed, section.detail
+    assert values <= 1.5 * steps
+
+
 # A `dln verify` seed at which the section fails: its trial 0, a (2,1,1,2)
 # quadratic plateau, escapes to a chain whose only nonzero layer gradient
 # (4.9e-9) is below DEFAULT_GRAD_TOL, so the descent stops stalled-critical
@@ -226,7 +273,9 @@ def test_escape_and_descent_passes_at_a_seed_where_its_descent_stalls():
 # sha256 over the balanced-start descents of verify's two oracle cores:
 # status, steps, final loss and factor bytes of `_oracle_runs` at instance
 # seeds 0-7, then the best loss of `_restart_best` on eight restart data sets.
-PINNED_GAUGED_DESCENT_DIGEST = "bf940e55f79f5b8523bcd60d9930ad2780213a65ec37a544591f72ea0a9ed81c"
+# Computed with the 10-loss Armijo reference, and with the oracle runs
+# stopped at their target.
+PINNED_GAUGED_DESCENT_DIGEST = "ce57ebbe68d7351c3654157d7e689d494dfd9f262167c47f30cf07dabc30b1fb"
 
 
 def test_gauged_descents_match_the_pinned_digest():
