@@ -11,7 +11,11 @@ package: :func:`running_product`, :func:`prefix_products`,
 arrays, so the optimizer, the analyzer and the perturbation engine share
 them without building chain objects.  No product is padded with an
 identity: the prefix products are the running product's own intermediates,
-and the suffix products stop at the lowest layer that is asked for.
+and the layer gradients come from one backward sweep that carries the
+convex gradient down the chain, one product per layer, as backpropagation
+does.  A sum of squares is one reduction per array, :func:`_sum_squares`,
+a BLAS dot product of the flattening with itself: the quadratic loss's
+value, :func:`_norm` and the descent's squared gradient norms take it.
 
 Every matrix product in the package is written ``x.dot(y)``, and a chain
 ``a @ b @ c`` as ``a.dot(b).dot(c)``: the same cblas call as ``@`` (gemm,
@@ -91,11 +95,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_squares(a: np.ndarray) -> float:
+    """The sum of squares of ``a``'s entries: one dot of its flattening."""
+    flat = a.ravel(order="K")
+    return float(flat.dot(flat))
+
+
 def _norm(g: np.ndarray) -> float:
-    """``np.linalg.norm(g)`` of a 2-D array without its dispatch: the square
-    root of the same dot product over the same flattening."""
-    flat = g.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    """``np.linalg.norm(g)`` of a 2-D array, bitwise, without its dispatch."""
+    return math.sqrt(_sum_squares(g))
 
 
 @dataclass(frozen=True)
@@ -233,7 +241,7 @@ class QuadraticLoss(ConvexLoss):
         return w.dot(self.inputs) - self.targets
 
     def _value(self, r: np.ndarray) -> float:
-        return float(np.add.reduce(r * r, None))
+        return _sum_squares(r)
 
     def _gradient(self, r: np.ndarray) -> np.ndarray:
         return (2.0 * r).dot(self.inputs.T)
@@ -288,9 +296,8 @@ def suffix_products(mats, lowest: int) -> dict[int, np.ndarray]:
     """The products ``M_k ... M_{i+1}`` above layer ``i``, keyed by ``i``,
     for ``i`` from ``k - 1`` down to ``lowest``.
 
-    They accumulate from the top: ``M_k`` itself, then each entry is the one
-    above it times ``M_{i+1}``, so they cost ``k - 1 - lowest`` matrix
-    multiplies.  Layer ``k`` has nothing above it and gets no entry.
+    They accumulate from the top, ``M_k`` itself and then each entry times
+    ``M_{i+1}``, in ``k - 1 - lowest`` products; layer ``k`` gets no entry.
     """
     k = len(mats)
     above = {k - 1: mats[-1]} if lowest < k else {}
@@ -306,17 +313,18 @@ def gradient_core(mats, below, grad, layers) -> dict[int, np.ndarray]:
     gradient ``f'(W)`` at its last entry, the end-to-end product ``W``.
     Returns ``{i: (M_k ... M_{i+1})^T f'(W) (M_{i-1} ... M_1)^T}``, the
     gradient of the composite objective w.r.t. layer ``i``, for each 1-based
-    position ``i`` in ``layers`` (in that order).  The suffix products are
-    built down to the lowest of ``layers`` only, and the top and bottom
-    layers skip the empty product on their side.
+    position ``i`` in ``layers`` (in that order).  One backward sweep builds
+    them: ``back_k = f'(W)`` and ``back_{i-1} = M_i^T back_i`` down to the
+    lowest of ``layers``, then ``back_i (M_{i-1} ... M_1)^T`` is layer
+    ``i``'s gradient and ``back_1`` layer 1's.  That is ``k - lowest``
+    products for the sweep and one per layer asked for other than layer 1.
+    The transposed products round differently from suffix products formed
+    top down, so for ``k > 2`` the bits differ from that formula's.
     """
-    k = len(mats)
-    above = suffix_products(mats, min(layers))
-    grads = {}
-    for i in layers:
-        g = grad if i == k else above[i].T.dot(grad)
-        grads[i] = g if i == 1 else g.dot(below[i - 2].T)
-    return grads
+    back = {len(mats): grad}
+    for i in range(len(mats), min(layers), -1):
+        back[i - 1] = mats[i - 1].T.dot(back[i])
+    return {i: back[i] if i == 1 else back[i].dot(below[i - 2].T) for i in layers}
 
 
 def partial_product(chain: FactorChain, lo: int, hi: int) -> np.ndarray:

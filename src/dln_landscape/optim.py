@@ -21,15 +21,17 @@ it, and the next gradient reuses the accepted trial's.  Each trial also
 builds the loss's residual once (``W X - Y`` for the quadratic loss), for
 its value; the next gradient takes the accepted trial's residual, so an
 accepted step forms the end-to-end product and its residual once.  A step
-reads its gradients in one pass, and the whole call runs under one
-``np.errstate``; the chain list is rebuilt from the block it works on only
-for ``on_state`` and for the result.  Sums of floats add up left to right
-with ``+=``: builtin ``sum()`` is compensated from Python 3.12 on and would
-round differently there.
+takes its gradients from one backward sweep (``network.gradient_core``) and
+each one's sum of squares once, ``network._sum_squares``, whose root is the
+layer's norm, and the whole call runs under one ``np.errstate``; the chain
+list is rebuilt from the block it works on only for ``on_state`` and for
+the result.  Sums of floats add up left to right with ``+=``: builtin
+``sum()`` is compensated from Python 3.12 on and would round differently.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,7 +41,7 @@ import numpy as np
 from .network import (
     ConvexLoss,
     _finite_loss_state,
-    _norm,
+    _sum_squares,
     gradient_core,
     prefix_products,
     running_product,
@@ -93,8 +95,8 @@ def armijo_gd(
     A line-search trial costs one forward product of the layers from the
     lowest active one up, headed by the product of the frozen layers below;
     its intermediates are the prefix products that the next step's gradient
-    reuses when the trial is accepted, so a gradient builds only the suffix
-    products.  The loss's shape and the finiteness of the start are checked
+    reuses when the trial is accepted, so a gradient builds only its backward
+    sweep.  The loss's shape and the finiteness of the start are checked
     once, at the start (``network._finite_loss_state``); the loop then
     builds one ``loss._residual`` per trial product, takes the trial's
     value from it with ``loss._value``, and the next gradient from the
@@ -133,7 +135,8 @@ def armijo_gd(
 
     The squared gradient norm and the inner product are sums over the
     active layers in layer order, added left to right from 0.0 on every
-    Python version, and ``max_grad`` is the largest layer-gradient norm as
+    Python version; each layer's sum of squares is taken once, and its root
+    is the layer's norm.  ``max_grad`` is the largest of those norms as
     builtin ``max`` takes it over that order (a NaN in first place stays).
     The whole call, ``on_state`` included, runs under one
     ``np.errstate(over="ignore", invalid="ignore")``, and the caller's state
@@ -179,17 +182,18 @@ def armijo_gd(
         while True:
             # The forward products, the residual and the convex gradient are
             # the accepted trial's (or the start's).  One pass over the
-            # gradients, in layer order, takes the largest norm as builtin
-            # max would (a NaN first stays), and sums the squared norms and
-            # the inner products with the last step's gradients left to right.
+            # gradients, in layer order, takes each sum of squares once, the
+            # largest norm as builtin max would (a NaN first stays), and adds
+            # the squares and the inner products up left to right.
             grads = gradient_core(block, below, grad, positions)
             max_grad = None
             squared = inner = 0.0
             for p, g in grads.items():
-                norm = _norm(g)
+                sq = _sum_squares(g)
+                norm = math.sqrt(sq)
                 if max_grad is None or norm > max_grad:
                     max_grad = norm
-                squared += float(np.add.reduce(g * g, None))
+                squared += sq
                 if last is not None:
                     inner += float(np.vdot(last[0][p], g))
             if on_state is not None:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import Tolerances, _rank_of_spectrum, best_rank_approx, ensure_matrix
-from .network import ConvexLoss, FactorChain, running_product
+from .network import ConvexLoss, FactorChain, _sum_squares, running_product
 
 __all__ = [
     "ReducedRankFit",
@@ -69,8 +69,7 @@ def rrr_oracle(
         )
     basis, back = _row_space_whitening(x, rank_tol)
     w = best_rank_approx(y.dot(basis), rank).dot(back)
-    residual = w.dot(x) - y
-    return ReducedRankFit(map=w, loss=float(np.sum(residual * residual)))
+    return ReducedRankFit(map=w, loss=_sum_squares(w.dot(x) - y))
 
 
 def finite_diff_gradient(chain: FactorChain, loss: ConvexLoss, layer: int) -> np.ndarray:

@@ -100,15 +100,8 @@ def canonical_plateau() -> tuple[FactorChain, QuadraticLoss]:
     rank-one perturbation of the first layer with certificate norm exactly
     twice the perturbation scale.
     """
-    chain = FactorChain(
-        (
-            np.zeros((1, 2)),
-            np.zeros((1, 1)),
-            np.eye(2, 1),
-        )
-    )
-    loss = QuadraticLoss(np.eye(2), np.eye(2))
-    return chain, loss
+    chain = FactorChain((np.zeros((1, 2)), np.zeros((1, 1)), np.eye(2, 1)))
+    return chain, QuadraticLoss(np.eye(2), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -583,12 +576,8 @@ def verify_suite(seed: int = 0, trials: int = 4) -> VerifyReport:
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if trials == 0:
-        return VerifyReport(
-            seed=seed,
-            trials=0,
-            sections=(),
-            warning="trials=0: no checks were executed; the pass is vacuous",
-        )
+        warning = "trials=0: no checks were executed; the pass is vacuous"
+        return VerifyReport(seed=seed, trials=0, sections=(), warning=warning)
     sections = tuple(fn(seed, trials) for fn in _SECTIONS)
     return VerifyReport(seed=seed, trials=trials, sections=sections)
 

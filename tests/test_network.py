@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,8 @@ from dln_landscape.network import (
     NoInteriorBottleneckError,
     QuadraticLoss,
     ShapeMismatchError,
+    _norm,
+    _sum_squares,
     bottleneck_split,
     chain_loss,
     end_to_end,
@@ -294,6 +299,61 @@ class TestProductCore:
             assert np.array_equal(g, every[i - 1])
 
 
+def _suffix_gradient_core(mats, below, grad, layers):
+    """The layer-gradient formula that the backward sweep replaced, kept as
+    the reference: suffix products ``M_k ... M_{i+1}`` formed top down, then
+    two products per layer, ``above^T f'(W)`` and that times ``below^T``."""
+    k = len(mats)
+    above = suffix_products(mats, min(layers))
+    grads = {}
+    for i in layers:
+        g = grad if i == k else above[i].T.dot(grad)
+        grads[i] = g if i == 1 else g.dot(below[i - 2].T)
+    return grads
+
+
+class _CountedDot(np.ndarray):
+    """An array that counts its ``dot`` calls in ``_CountedDot.calls``;
+    products, transposes and views of it are of this class too."""
+
+    calls = 0
+
+    def dot(self, other):
+        _CountedDot.calls += 1
+        return super().dot(other)
+
+
+class TestBackwardSweep:
+    """``gradient_core`` against the suffix-product formula, on every
+    non-empty sorted subset of layers of chains of depth 1 to 6."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=2, max_size=7))
+    def test_matches_the_suffix_formula_with_one_product_per_layer(self, seed, widths):
+        rng = _rng(seed)
+        k = len(widths) - 1
+        mats = [rng.standard_normal((widths[i + 1], widths[i])) for i in range(k)]
+        below = prefix_products(mats)
+        grad = rng.standard_normal((widths[-1], widths[0]))
+        norms = [np.linalg.norm(m) for m in mats]
+        counted = [m.view(_CountedDot) for m in mats]
+        counted_below = [b.view(_CountedDot) for b in below]
+        for size in range(1, k + 1):
+            for layers in itertools.combinations(range(1, k + 1), size):
+                grads = gradient_core(mats, below, grad, layers)
+                reference = _suffix_gradient_core(mats, below, grad, layers)
+                assert list(grads) == list(layers)
+                for i in layers:
+                    if k <= 2:
+                        assert grads[i].tobytes() == reference[i].tobytes()
+                    scale = np.linalg.norm(grad) * math.prod(norms[:i - 1] + norms[i:])
+                    assert np.abs(grads[i] - reference[i]).max() <= 1e-12 * scale
+                _CountedDot.calls = 0
+                gradient_core(counted, counted_below, grad.view(_CountedDot), layers)
+                assert _CountedDot.calls == (k - layers[0]) + len(layers) - (layers[0] == 1)
+                assert list(gradient_core(mats, below, grad, layers[::-1])) == list(layers[::-1])
+
+
 class TestSplits:
     def test_make_split_products(self):
         chain = _random_chain((3, 4, 2, 4, 3), seed=13)
@@ -417,3 +477,14 @@ class TestDotIsMatmul:
         v, w = rng.standard_normal(cols), rng.standard_normal(rows)
         assert a.dot(v).tobytes() == (a @ v).tobytes()
         assert w.dot(a).tobytes() == (w @ a).tobytes()
+
+
+class TestSumSquares:
+    """One reduction per array: ``_norm`` is the root of ``_sum_squares``,
+    bitwise, and both are what ``np.linalg.norm`` computes."""
+
+    @given(st.integers(0, 2**32 - 1), _WIDTH, _WIDTH, _LAYOUT)
+    def test_norm_is_the_root_of_the_sum_of_squares(self, seed, rows, cols, layout):
+        a = _operand(_rng(seed), rows, cols, layout)
+        assert _norm(a) == math.sqrt(_sum_squares(a)) == np.linalg.norm(a)
+        assert _sum_squares(a) == pytest.approx(float(np.add.reduce(a * a, None)), rel=1e-13)

@@ -21,6 +21,7 @@ from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
 from dln_landscape.linalg import DEFAULT_GRAD_TOL
 from dln_landscape.network import (
     FactorChain,
+    _sum_squares,
     QuadraticLoss,
     chain_loss,
     interior_bottleneck,
@@ -44,23 +45,21 @@ MAX_STEPS = 40
 STOP_GRAD_TOL = 1e-8
 
 
-def prefix_suffix_products(mats):
-    """Identity-padded prefix and suffix products: ``below[i] = M_i ... M_1``
-    and ``above[i] = M_k ... M_{i+1}`` for ``i = 0..k``, with ``below[0]``
-    and ``above[k]`` identities."""
+def padded_prefix_products(mats):
+    """Identity-padded prefix products: ``below[i] = M_i ... M_1`` for
+    ``i = 0..k``, with ``below[0]`` the identity."""
     below = [np.eye(mats[0].shape[1])]
     for m in mats:
         below.append(m @ below[-1])
-    above = [np.eye(mats[-1].shape[0])]
-    for m in reversed(mats):
-        above.append(above[-1] @ m)
-    return below, above[::-1]
+    return below
 
 
 def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
-    """Reference descent: every step's prefix and suffix products and every
-    trial's product run over all layers, the frozen ones included.  Same step
-    rule (Barzilai–Borwein first trial, else doubling) and the same stops."""
+    """Reference descent: every step's prefix products and backward sweep and
+    every trial's product run over all layers, the frozen ones included.
+    Same step rule (Barzilai–Borwein first trial, else doubling), the same
+    sums of squares (one ``_sum_squares`` per layer gradient) and the same
+    stops."""
     active = sorted(set(int(i) for i in active_layers))
     current = [np.array(m, dtype=np.float64) for m in factors]
     value = loss.value(running_product(current))
@@ -68,9 +67,12 @@ def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
     last = None
     steps = 0
     while True:
-        below, above = prefix_suffix_products(current)
-        grad = loss.gradient(below[-1])
-        grads = {i: above[i].T @ grad @ below[i - 1].T for i in active}
+        below = padded_prefix_products(current)
+        # back[i] = (M_k ... M_{i+1})^T f'(W), carried down to layer 1.
+        back = {len(current): loss.gradient(below[-1])}
+        for i in range(len(current), 1, -1):
+            back[i - 1] = current[i - 1].T @ back[i]
+        grads = {i: back[i] @ below[i - 1].T for i in active}
         max_grad = max(float(np.linalg.norm(g)) for g in grads.values())
         if max_grad <= stop_grad_tol:
             status = STATUS_CRITICAL
@@ -81,7 +83,7 @@ def _full_rebuild_gd(factors, loss, active_layers, max_steps, stop_grad_tol):
         # Sums left to right: builtin sum() is compensated from Python 3.12.
         squared = 0.0
         for g in grads.values():
-            squared += float(np.sum(g**2))
+            squared += _sum_squares(g)
         first = t * STEP_GROW
         if last is not None:
             last_grads, last_squared = last
@@ -284,10 +286,10 @@ def test_a_step_builds_one_forward_product_per_trial(monkeypatch, loss_kind):
 
 
 # sha256 over status, steps, ``loss.hex()``, ``max_grad.hex()`` and the
-# factor bytes of the runs in ``_pinned_runs``, computed while the products
-# were still padded with identities.  Signed zeros are the one way dropping
-# those multiplies could change a result, and the factor bytes show them.
-PINNED_DESCENT_DIGEST = "0c643da5c76323d60fc8fad6cebba36ac549e5a14eb8f6276731576dc87bb2a6"
+# factor bytes of the runs in ``_pinned_runs``, computed with the backward
+# sweep of ``gradient_core`` and one ``_sum_squares`` per layer gradient.
+# The factor bytes would show a signed zero that either one changed.
+PINNED_DESCENT_DIGEST = "eea8483ecef9012e9eabdd5ad582025136b42d343272ceb8d589e5c5d78d0f72"
 
 
 def _pinned_runs():
@@ -434,9 +436,9 @@ def test_no_overflowing_trial_is_accepted_for_any_loss(monkeypatch):
 
 # sha256 over status, steps, ``loss.hex()``, ``max_grad.hex()`` and the
 # factor bytes of 30-step descents from ``_overflowing_start``, quadratic
-# then logcosh, computed while every trial's product was tested for
-# finiteness before its value was taken.
-PINNED_OVERFLOW_DIGEST = "8a6c869d2201d00d2fcbcdbd9c9ba4bd5cd9cc5f8171f01cd83f4981ccd8bf19"
+# then logcosh, computed with the backward sweep of ``gradient_core`` and
+# one ``_sum_squares`` per layer gradient.
+PINNED_OVERFLOW_DIGEST = "7b2195515f867ed374bb831f384214a22730932b6cc1fdf6ec78b23a97f521dc"
 
 
 def test_overflowing_starts_match_the_pinned_digest():

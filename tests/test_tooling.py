@@ -181,3 +181,27 @@ def test_the_descent_calls_no_builtin_sum():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert not found, f"builtin sum() rounds by Python version: {found}"
+
+
+def _is_square(node) -> bool:
+    """``x * x`` of one expression, or ``x ** 2``."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return ast.dump(node.left) == ast.dump(node.right)
+    return isinstance(node.op, ast.Pow) and ast.dump(node.right) == ast.dump(ast.Constant(2))
+
+
+def test_every_sum_of_squares_is_one_reduction():
+    # ``network._sum_squares`` is the one reduction per array; a sum over an
+    # elementwise square builds a temporary and rounds differently.
+    found = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in _module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("np.sum", "np.add.reduce")
+        and node.args
+        and _is_square(node.args[0])
+    ]
+    assert not found, f"sums of squares not taken with _sum_squares: {found}"

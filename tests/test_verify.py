@@ -273,9 +273,9 @@ def test_escape_and_descent_passes_at_a_seed_where_its_descent_stalls():
 # sha256 over the balanced-start descents of verify's two oracle cores:
 # status, steps, final loss and factor bytes of `_oracle_runs` at instance
 # seeds 0-7, then the best loss of `_restart_best` on eight restart data sets.
-# Computed with the 10-loss Armijo reference, and with the oracle runs
-# stopped at their target.
-PINNED_GAUGED_DESCENT_DIGEST = "ce57ebbe68d7351c3654157d7e689d494dfd9f262167c47f30cf07dabc30b1fb"
+# Computed with the 10-loss Armijo reference, with the oracle runs stopped
+# at their target, and with the backward sweep and ``_sum_squares`` sums.
+PINNED_GAUGED_DESCENT_DIGEST = "c857840efbfe8ed0975fdd8847bca62566db6892ec8858128e0bdc59e0f30322"
 
 
 def test_gauged_descents_match_the_pinned_digest():
