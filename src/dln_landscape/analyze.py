@@ -246,24 +246,28 @@ def descent_search(
     loss: ConvexLoss,
     report: CriticalPointReport,
     budget: int = 500,
+    target: float | None = None,
 ) -> FactorChain:
     """Turn an escape certificate into an actual loss decrease.
 
-    Starting from the certificate's perturbed chain, runs Armijo gradient
-    descent on the layers of the super layer that saw the nonzero gradient
-    (the side *opposite* the perturbation), stopping once every active
-    gradient is below the default ``grad_tol``.  When the interior widths
-    of those layers all exceed the cut width they form a chain with no
-    interior bottleneck, where a nonzero super-layer gradient guarantees
-    descent; a width that ties with the cut's (widths ``(2, 1, 1, 2)``, say)
-    voids that guarantee, and the descent can stop at its first step.  The
-    cut and the original loss are read from ``report``, which must be the
-    report of ``chain`` under ``loss``.
+    Starting from the certificate's perturbed chain, runs monotone Armijo
+    gradient descent on the layers of the super layer that saw the nonzero
+    gradient (the side *opposite* the perturbation), and returns its first
+    iterate at or below ``required`` (below), or at or below ``target`` when
+    that is lower.  When the interior widths of those layers all exceed the
+    cut width they form a chain with no interior bottleneck, where a nonzero
+    super-layer gradient guarantees descent; a width that ties with the
+    cut's (widths ``(2, 1, 1, 2)``, say) voids that guarantee, and the
+    descent can stop at its first step.  The cut and the original loss are
+    read from ``report``, which must be the report of ``chain`` under
+    ``loss``.
 
     Returns a chain whose loss is at most
-    ``original - max(1e-12, 1e-6 * |original|)``; otherwise raises
-    :class:`DescentNotFoundError` with the search diagnostics; a negative
-    ``budget`` raises ``ValueError``.
+    ``required = original - max(1e-12, 1e-6 * |original|)``; otherwise
+    raises :class:`DescentNotFoundError` with the search diagnostics; a
+    negative ``budget`` raises ``ValueError``.  The descent is monotone, so
+    a search succeeds exactly when the full ``budget``-step run (or the run
+    to a critical point) would end at or below ``required``.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
@@ -292,6 +296,7 @@ def descent_search(
         active_layers=active,
         max_steps=budget,
         stop_grad_tol=DEFAULT_GRAD_TOL,
+        target=required if target is None else min(required, target),
     )
     if result.loss <= required:
         return FactorChain(tuple(result.factors))

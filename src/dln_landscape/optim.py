@@ -10,9 +10,10 @@ a trial against the largest of the last ``window`` accepted losses (Grippo,
 Lampariello & Lucidi 1986; Raydan 1997).  At the default ``window=1`` that
 is the current loss, so the descent is strictly monotone by construction;
 ``verify``'s balanced descents pass a longer window, and there an accepted
-step can raise the loss, though never above the start's.  The loop stops as
-soon as an accepted step leaves the loss bit-identical, since no later step
-can lower it.  It works on plain arrays and takes its products and
+step can raise the loss, though never above the start's.  The loop stops at
+a critical point, at the first iterate at or below a caller's ``target``,
+after its budget, when no trial passes, or once an accepted step leaves the
+loss bit-identical.  It works on plain arrays and takes its products and
 gradients from the ``network`` core, so a step builds no chain objects.
 The layers below the lowest active one never change, so their product is
 built once per call and heads the chain the loop works on: a line-search
@@ -54,12 +55,14 @@ __all__ = [
     "STATUS_BUDGET",
     "STATUS_LINE_SEARCH",
     "STATUS_PRECISION",
+    "STATUS_TARGET",
 ]
 
 STATUS_CRITICAL = "stalled-critical"
 STATUS_BUDGET = "budget-exhausted"
 STATUS_LINE_SEARCH = "line-search-stalled"
 STATUS_PRECISION = "precision-limited"
+STATUS_TARGET = "target-reached"
 
 # Armijo line search: sufficient-decrease factor, backtracking factor, first
 # trial step, growth of the carried-over step when no Barzilai–Borwein step
@@ -88,6 +91,7 @@ def armijo_gd(
     stop_grad_tol: float,
     on_state: Callable[[int, list[np.ndarray], float, float], None] | None = None,
     window: int = 1,
+    target: float = -math.inf,
 ) -> GDResult:
     """Steepest descent with Armijo backtracking on selected layers.
 
@@ -123,12 +127,16 @@ def armijo_gd(
     (step 0) and after every accepted step.
 
     Stops with status ``stalled-critical`` when the largest active-layer
-    gradient norm drops to ``stop_grad_tol``, ``budget-exhausted`` after
-    ``max_steps`` accepted steps, ``line-search-stalled`` when no step above
-    ``MIN_STEP`` achieves the Armijo decrease, or ``precision-limited`` when
-    an accepted trial's loss equals the current loss to the bit (the
-    Armijo decrease is below rounding); the returned factors are then the
-    current iterate, not that trial.  A negative ``max_steps``, a negative
+    gradient norm drops to ``stop_grad_tol``; else ``target-reached`` at the
+    first iterate, the start included, whose loss is at most ``target``
+    (never at the default ``-inf``, where the run is the run without one);
+    ``budget-exhausted`` after ``max_steps`` accepted steps;
+    ``line-search-stalled`` when no step above ``MIN_STEP`` achieves the
+    Armijo decrease; or ``precision-limited`` when an accepted trial's loss
+    equals the current loss to the bit (the Armijo decrease is below
+    rounding), and the returned factors are then the current iterate, not
+    that trial.  The returned ``max_grad`` and the last ``on_state`` call
+    belong to the returned iterate.  A negative ``max_steps``, a negative
     or non-finite ``stop_grad_tol``, a ``window`` below 1, or a start whose
     end-to-end product, loss value or convex-gradient norm is not finite
     raises ``ValueError``.
@@ -200,6 +208,9 @@ def armijo_gd(
                 on_state(steps, frozen + block[skip:], value, max_grad)
             if max_grad <= stop_grad_tol:
                 status = STATUS_CRITICAL
+                break
+            if value <= target:
+                status = STATUS_TARGET
                 break
             if steps >= max_steps:
                 status = STATUS_BUDGET

@@ -230,17 +230,17 @@ def _section_product_invariance(seed: int, trials: int) -> SectionResult:
     return SectionResult("product_invariance", passed, checks, "; ".join([detail, *errors]))
 
 
-def _escape_and_descend(problems, budget: int):
+def _escape_and_descend(problems, budget: int, target=None):
     """Yield ``(report, after, error)`` per ``(chain, loss)``: its
     classification (None when the escape construction failed), the loss a
-    descent search from an escapable plateau reached, and why the
-    construction or the search failed."""
+    descent search from an escapable plateau (with that ``target``)
+    reached, and why the construction or the search failed."""
     for chain, loss in problems:
         report = after = error = None
         try:
             report = classify(chain, loss)
             if report.label is Classification.ESCAPABLE_PLATEAU:
-                after = chain_loss(descent_search(chain, loss, report, budget=budget), loss)
+                after = chain_loss(descent_search(chain, loss, report, budget=budget, target=target), loss)
         except (ConstructionFailedError, DescentNotFoundError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         yield report, after, error
@@ -279,7 +279,7 @@ def _section_canonical_plateau(seed: int, trials: int) -> SectionResult:
     if convex_norm != 2.0 * np.sqrt(2.0):
         problems.append(f"convex gradient norm {fmt_float(convex_norm)} != 2*sqrt(2)")
 
-    [(report, after, error)] = _escape_and_descend([(chain, loss)], 500)
+    [(report, after, error)] = _escape_and_descend([(chain, loss)], 500, target=2.0 - 1e-3)
     if report is not None:
         if report.label is not Classification.ESCAPABLE_PLATEAU:
             problems.append(f"label {report.label.value}")
@@ -386,18 +386,18 @@ def _balanced_descent(
     balanced gauge at the bottleneck cut
     (:func:`~dln_landscape.network.balance_gauge`, same product) and returns
     to it every ``_REBALANCE_STEPS`` accepted steps; ``steps`` of the result
-    counts every step taken.  It also returns after a chunk of steps whose
-    final loss is at most ``target``: such a run ends with that chunk's
-    status, ``budget-exhausted``, and fewer than ``max_steps`` steps."""
+    counts every step taken.  Each chunk stops at its first iterate whose
+    loss is at most ``target``, and the run then ends there with status
+    ``target-reached``."""
     steps = 0
     while True:
         chunk = min(_REBALANCE_STEPS, max_steps - steps)
         result = armijo_gd(
             balance_gauge(factors), loss, range(1, len(factors) + 1), chunk, stop_grad_tol,
-            window=_NONMONOTONE_WINDOW,
+            window=_NONMONOTONE_WINDOW, target=target,
         )
         steps += result.steps
-        if result.status != STATUS_BUDGET or steps >= max_steps or result.loss <= target:
+        if result.status != STATUS_BUDGET or steps >= max_steps:
             return replace(result, steps=steps)
         factors = result.factors
 
@@ -408,9 +408,8 @@ def _oracle_runs(seeds):
     (:func:`_balanced_descent`, 4000 steps at most) on a generated
     ``_TRAINER_DIMS`` instance, next to the closed-form optimum, ``near``
     when the descent's loss is within 1e-5 relative of it.  That goal is the
-    descent's target: a run whose chunk of steps ends at or below it stops
-    there, ``budget-exhausted`` with fewer than 4000 steps unless the chunk
-    itself stopped otherwise."""
+    descent's target: a run stops ``target-reached`` at its first step at or
+    below it."""
     for inst_seed in seeds:
         inst = gen_instance(InstanceSpec(dims=_TRAINER_DIMS, seed=inst_seed))
         fit = rrr_oracle(inst.loss.inputs, inst.loss.targets, min(inst.chain.widths))

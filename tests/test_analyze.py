@@ -14,7 +14,7 @@ from dln_landscape.analyze import (
     two_layer_reduction,
 )
 from dln_landscape.harness import CONSTRUCTIONS, InstanceSpec, gen_instance
-from dln_landscape.linalg import Tolerances, best_rank_approx, numerical_rank
+from dln_landscape.linalg import DEFAULT_GRAD_TOL, Tolerances, best_rank_approx, numerical_rank
 from dln_landscape.network import (
     FactorChain,
     LogCoshLoss,
@@ -25,6 +25,7 @@ from dln_landscape.network import (
     end_to_end,
     layer_gradients,
 )
+from dln_landscape.optim import armijo_gd
 from dln_landscape.perturb import (
     ConstructionFailedError,
     escape_construction,
@@ -187,7 +188,7 @@ class TestDescentSearch:
     def test_canonical_descends_below_threshold(self):
         chain, loss = canonical_plateau()
         report = classify(chain, loss)
-        better = descent_search(chain, loss, report, budget=500)
+        better = descent_search(chain, loss, report, budget=500, target=2.0 - 1e-3)
         assert chain_loss(better, loss) < 2.0 - 1e-3
 
     def test_negative_budget_rejected(self):
@@ -233,6 +234,33 @@ class TestDescentSearch:
         with pytest.raises(DescentNotFoundError) as exc:
             descent_search(chain, loss, report, budget=200)
         assert exc.value.diagnostics["status"] == "stalled-critical"
+
+    @pytest.mark.parametrize("dims", [(3, 4, 2, 4, 3), (4, 5, 2, 5, 4)], ids=("k4", "k4-wide"))
+    @pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+    def test_returns_the_first_iterate_at_the_required_decrease(self, dims, loss_kind):
+        # The full-budget descent from the certificate, every iterate kept:
+        # the search returns the first one at or below ``required``, also
+        # when its ``target`` lies above ``required``.
+        shortened = 0
+        for seed in range(4):
+            inst = gen_instance(InstanceSpec(dims=dims, construction="rank_deficient_plateau",
+                                             loss_kind=loss_kind, seed=seed))
+            report = classify(inst.chain, inst.loss)
+            assert report.label is Classification.ESCAPABLE_PLATEAU
+            cut, k = report.split_index, inst.chain.k
+            active = range(cut + 1, k + 1) if report.escape.side == "below" else range(1, cut + 1)
+            iterates = []
+            armijo_gd(report.escape.perturbed_chain.factors, inst.loss, active, 500, DEFAULT_GRAD_TOL,
+                      on_state=lambda step, f, value, g: iterates.append(([m.copy() for m in f], value)))
+            required = report.loss - max(1e-12, 1e-6 * abs(report.loss))
+            first = next(i for i, (_, value) in enumerate(iterates) if value <= required)
+            shortened += first < len(iterates) - 1
+            for target in (None, report.loss):
+                better = descent_search(inst.chain, inst.loss, report, target=target)
+                assert chain_loss(better, inst.loss) <= required
+                for got, want in zip(better.factors, iterates[first][0], strict=True):
+                    assert got.tobytes() == want.tobytes()
+        assert shortened > 0
 
     def test_mirrored_descent_succeeds(self):
         chain = FactorChain(

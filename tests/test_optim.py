@@ -36,6 +36,7 @@ from dln_landscape.optim import (
     STATUS_CRITICAL,
     STATUS_LINE_SEARCH,
     STATUS_PRECISION,
+    STATUS_TARGET,
     STEP_GROW,
     STEP_INIT,
     armijo_gd,
@@ -342,6 +343,39 @@ def test_precision_stop_returns_the_last_accepted_iterate(loss_kind):
     assert budgeted.status == STATUS_BUDGET
     for got, want in zip(result.factors, budgeted.factors):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
+@pytest.mark.parametrize("window", (1, 10))
+def test_a_target_stops_the_run_at_its_first_iterate_at_or_below_it(loss_kind, window):
+    inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=5))
+
+    def run(**target):
+        states = []
+
+        def on_state(step, current, value, max_grad):
+            states.append((step, [m.tobytes() for m in current], value.hex(), max_grad.hex()))
+
+        result = armijo_gd(inst.chain.factors, inst.loss, range(1, 5), MAX_STEPS, STOP_GRAD_TOL,
+                           on_state=on_state, window=window, **target)
+        return result, states
+
+    full, full_states = run()
+    assert (full.status, full.steps) == (STATUS_BUDGET, MAX_STEPS)
+    values = [float.fromhex(value) for _, _, value, _ in full_states]
+    # Above the start and at it (the run returns at step 0), at later
+    # iterates, and between two of them.
+    targets = (values[0] + 1.0, values[0], values[3], 0.5 * (values[5] + values[6]), values[-1])
+    for target in targets:
+        result, states = run(target=target)
+        first = next(i for i, value in enumerate(values) if value <= target)
+        assert (result.status, result.steps) == (STATUS_TARGET, first)
+        # The run's states are a bitwise prefix of the run without a target,
+        # and the result is its last state.
+        assert states == full_states[: first + 1]
+        _, factors, value, max_grad = states[-1]
+        assert (result.loss.hex(), result.max_grad.hex()) == (value, max_grad)
+        assert [m.tobytes() for m in result.factors] == factors
 
 
 def _steps_taken(states, loss):

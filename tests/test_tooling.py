@@ -14,6 +14,7 @@ nothing.  Every name a module imports is used in it or listed in its
 through ``ndarray.dot`` (see the ``network`` module docstring).  The
 descent adds its floats up left to right, not with builtin ``sum()``,
 which is compensated from Python 3.12 and would round differently there.
+Every stop status of the descent is documented where its readers look.
 """
 
 import ast
@@ -23,9 +24,11 @@ import pkgutil
 from pathlib import Path
 
 import dln_landscape
+from dln_landscape import optim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(dln_landscape.__file__).resolve().parent
 
 
@@ -205,3 +208,15 @@ def test_every_sum_of_squares_is_one_reduction():
         and _is_square(node.args[0])
     ]
     assert not found, f"sums of squares not taken with _sum_squares: {found}"
+
+
+def test_every_descent_status_is_documented():
+    # ``armijo_gd``'s docstring and the README's ``optim`` row name each
+    # status the descent can stop with.
+    [row] = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("| `dln_landscape.optim` |")]
+    statuses = [getattr(optim, n) for n in optim.__all__ if n.startswith("STATUS_")]
+    assert optim.STATUS_TARGET in statuses
+    missing = [(where, status) for where, text in (("docstring", optim.armijo_gd.__doc__), ("README", row))
+               for status in statuses if f"`{status}`" not in text]
+    assert not missing, f"descent statuses not documented: {missing}"

@@ -12,7 +12,7 @@ from dln_landscape.cli import main
 from dln_landscape.harness import InstanceSpec, gen_instance
 from dln_landscape.linalg import DEFAULT_GRAD_TOL
 from dln_landscape.network import FactorChain, LogCoshLoss, QuadraticLoss, chain_loss, layer_gradients
-from dln_landscape.optim import STATUS_CRITICAL, STATUS_PRECISION, GDResult
+from dln_landscape.optim import STATUS_CRITICAL, STATUS_PRECISION, STATUS_TARGET, GDResult
 from dln_landscape.perturb import ConstructionFailedError
 from dln_landscape.verify import (
     _RESTART_TRIPLES,
@@ -212,8 +212,9 @@ class TestSectionRobustness:
 
 
 def test_the_oracle_runs_stop_at_their_goal_with_the_same_verdicts():
-    # A run that stops at its goal ends a chunk at or below it; a run that
-    # never reaches it is the run without a target, bit for bit.
+    # A run that reaches its goal stops ``target-reached`` at its first step
+    # at or below it, mid-chunk; a run that never reaches it is the run
+    # without a target, bit for bit.
     shortened = 0
     for seed, (_, result, oracle_loss, near) in enumerate(_oracle_runs(range(16))):
         goal = oracle_loss + 1e-5 * (1.0 + abs(oracle_loss))
@@ -221,6 +222,7 @@ def test_the_oracle_runs_stop_at_their_goal_with_the_same_verdicts():
         full = _balanced_descent(inst.chain.factors, inst.loss, 4000, DEFAULT_GRAD_TOL)
         assert near == (full.loss <= goal), seed
         if near:
+            assert result.status == STATUS_TARGET, seed
             assert result.loss <= goal and result.steps <= full.steps, seed
             shortened += result.steps < full.steps
         else:
@@ -273,9 +275,10 @@ def test_escape_and_descent_passes_at_a_seed_where_its_descent_stalls():
 # sha256 over the balanced-start descents of verify's two oracle cores:
 # status, steps, final loss and factor bytes of `_oracle_runs` at instance
 # seeds 0-7, then the best loss of `_restart_best` on eight restart data sets.
-# Computed with the 10-loss Armijo reference, with the oracle runs stopped
-# at their target, and with the backward sweep and ``_sum_squares`` sums.
-PINNED_GAUGED_DESCENT_DIGEST = "c857840efbfe8ed0975fdd8847bca62566db6892ec8858128e0bdc59e0f30322"
+# Computed with the 10-loss Armijo reference, with the backward sweep and
+# ``_sum_squares`` sums, and with the oracle runs stopped ``target-reached``
+# at their first step at or below their target.
+PINNED_GAUGED_DESCENT_DIGEST = "39044f264fd3749b48147b36fb95ade3016e7a056b9f983e7740d614f29a8b56"
 
 
 def test_gauged_descents_match_the_pinned_digest():
