@@ -159,9 +159,7 @@ def classify(
     gradients are taken at ``above·below``.
     """
     _check_delta(delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        below = prefix_products(chain.factors)
-        _, value, grad = _finite_loss_state(below[-1], loss)
+    below, _, value, grad = _finite_loss_state(chain.factors, loss)
     grads = gradient_core(chain.factors, below, grad, range(1, chain.k + 1))
     grad_norms = tuple(float(np.linalg.norm(g)) for g in grads.values())
     convex_norm = float(np.linalg.norm(grad))

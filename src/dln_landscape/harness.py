@@ -13,9 +13,9 @@ generic
 rank_deficient_plateau
     An exactly critical chain with nonzero convex gradient: one layer below
     and one layer above the bottleneck cut are zeroed, which kills every
-    layer gradient identically (each gradient's prefix or suffix product
-    contains a zero factor) while the convex gradient at the zero product
-    stays generic.  Both super layers are rank deficient, so the plateau is
+    layer gradient identically (the product of the layers above or of those
+    below each layer contains a zero factor) while the convex gradient at
+    the zero product stays generic.  Both super layers are rank deficient, so the plateau is
     escapable — and because exactly one zero sits on each side, the layers
     opposite the perturbed side regain a nonzero gradient after the escape,
     which is what lets plain descent exploit the certificate.

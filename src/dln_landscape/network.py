@@ -6,16 +6,16 @@ width ``d_0`` to width ``d_k``.  The composite objective is
 ``loss.value(M_k @ ... @ M_1)`` for a convex, differentiable ``loss``.
 
 This module owns the chain-product and gradient core used across the
-package: :func:`running_product`, :func:`prefix_products`,
-:func:`suffix_products` and :func:`gradient_core` work on plain sequences of
-arrays, so the optimizer, the analyzer and the perturbation engine share
-them without building chain objects.  No product is padded with an
-identity: the prefix products are the running product's own intermediates,
-and the layer gradients come from one backward sweep that carries the
-convex gradient down the chain, one product per layer, as backpropagation
-does.  A sum of squares is one reduction per array, :func:`_sum_squares`,
-a BLAS dot product of the flattening with itself: the quadratic loss's
-value, :func:`_norm` and the descent's squared gradient norms take it.
+package: :func:`running_product`, :func:`prefix_products` and
+:func:`gradient_core` work on plain sequences of arrays, so the optimizer,
+the analyzer and the perturbation engine share them without building chain
+objects.  No product is padded with an identity: the prefix products are
+the running product's own intermediates, and the layer gradients come from
+one backward sweep that carries the convex gradient down the chain, one
+product per layer, as backpropagation does.  A sum of squares is one
+reduction per array, :func:`_sum_squares`, a BLAS dot product of the
+flattening with itself: the quadratic loss's value, :func:`_norm` and the
+descent's squared gradient norms take it.
 
 Every matrix product in the package is written ``x.dot(y)``, and a chain
 ``a @ b @ c`` as ``a.dot(b).dot(c)``: the same cblas call as ``@`` (gemm,
@@ -62,7 +62,6 @@ __all__ = [
     "BottleneckSplit",
     "running_product",
     "prefix_products",
-    "suffix_products",
     "gradient_core",
     "partial_product",
     "end_to_end",
@@ -180,11 +179,11 @@ class ConvexLoss(abc.ABC):
     of the product, so a caller that needs both at one product builds it
     once.  The public ``value`` and ``gradient`` check the product (a finite
     2-D array of that shape) first.  :func:`_finite_loss_state` is the one
-    checked evaluation of both, and also refuses a value or a gradient norm
-    that is not finite: ``classify``, the escape entry points, the load-time
-    check and the start of ``optim``'s descent read it.  The descent loop
-    then calls the cores directly, testing each trial product it accepts
-    for finiteness.  The contract — gradient consistent with central finite
+    checked evaluation of both, from the factors, and also refuses a value
+    or a gradient norm that is not finite: ``classify``, the escape entry
+    points, ``storage``'s save and load and the start of ``optim``'s descent
+    open with it.  The descent loop then calls the cores directly, testing
+    each trial product it accepts for finiteness.  The contract — gradient consistent with central finite
     differences, midpoint convexity — is spot-checkable via
     :func:`validate_loss_contract`.
     """
@@ -292,20 +291,6 @@ def prefix_products(mats) -> list[np.ndarray]:
     return below
 
 
-def suffix_products(mats, lowest: int) -> dict[int, np.ndarray]:
-    """The products ``M_k ... M_{i+1}`` above layer ``i``, keyed by ``i``,
-    for ``i`` from ``k - 1`` down to ``lowest``.
-
-    They accumulate from the top, ``M_k`` itself and then each entry times
-    ``M_{i+1}``, in ``k - 1 - lowest`` products; layer ``k`` gets no entry.
-    """
-    k = len(mats)
-    above = {k - 1: mats[-1]} if lowest < k else {}
-    for i in range(k - 2, lowest - 1, -1):
-        above[i] = above[i + 1].dot(mats[i])
-    return above
-
-
 def gradient_core(mats, below, grad, layers) -> dict[int, np.ndarray]:
     """Layer gradients of a chain given as raw arrays.
 
@@ -318,8 +303,6 @@ def gradient_core(mats, below, grad, layers) -> dict[int, np.ndarray]:
     lowest of ``layers``, then ``back_i (M_{i-1} ... M_1)^T`` is layer
     ``i``'s gradient and ``back_1`` layer 1's.  That is ``k - lowest``
     products for the sweep and one per layer asked for other than layer 1.
-    The transposed products round differently from suffix products formed
-    top down, so for ``k > 2`` the bits differ from that formula's.
     """
     back = {len(mats): grad}
     for i in range(len(mats), min(layers), -1):
@@ -354,28 +337,24 @@ def chain_loss(chain: FactorChain, loss: ConvexLoss) -> float:
     return loss.value(end_to_end(chain))
 
 
-def _check_finite_loss(chain: FactorChain, loss: ConvexLoss) -> None:
-    """Refuse a chain whose loss or convex-gradient norm at the end-to-end
-    product is not finite: every analysis of it would run on inf and NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = end_to_end(chain)
-    _finite_loss_state(product, loss)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _finite_loss_state(
-    product: np.ndarray, loss: ConvexLoss
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """``(residual, value, gradient)`` of ``loss`` at ``product``, computed
-    without floating-point warnings.  Raises ``ValueError`` unless the
-    product, the value and the gradient's norm (so every entry) are finite,
-    and :class:`ShapeMismatchError` for a finite product of the wrong shape."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(product).all():
-            residual = loss._residual(loss._check_shape(product))
-            value = loss._value(residual)
-            grad = loss._gradient(residual)
-            if np.isfinite(value) and math.isfinite(_norm(grad)):
-                return residual, value, grad
+    mats, loss: ConvexLoss
+) -> tuple[list[np.ndarray], np.ndarray, float, np.ndarray]:
+    """The one checked first-order pass over the factors ``mats``:
+    ``(below, residual, value, gradient)``, with ``below`` their
+    :func:`prefix_products` and the rest ``loss`` at the last of them, the
+    end-to-end product, all computed without floating-point warnings.
+    Raises ``ValueError`` unless the product, the value and the gradient's
+    norm (so every entry) are finite, and :class:`ShapeMismatchError` for a
+    finite product of the wrong shape."""
+    below = prefix_products(mats)
+    if np.isfinite(below[-1]).all():
+        residual = loss._residual(loss._check_shape(below[-1]))
+        value = loss._value(residual)
+        grad = loss._gradient(residual)
+        if np.isfinite(value) and math.isfinite(_norm(grad)):
+            return below, residual, value, grad
     raise ValueError("the loss or its gradient at the end-to-end product overflows")
 
 

@@ -178,9 +178,8 @@ def armijo_gd(
     with np.errstate(over="ignore", invalid="ignore"):  # the one context of the call
         head = [running_product(frozen)] if frozen else []
         block = head + current[lo - 1 :]
-        below = prefix_products(block)
         # The one shape check, and the one finiteness check, of the start.
-        residual, value, grad = _finite_loss_state(below[-1], loss)
+        below, _, value, grad = _finite_loss_state(block, loss)
         skip = len(head)
         positions = [i - lo + 1 + skip for i in active]  # the active layers in the block
         recent = deque([value], maxlen=window)  # the last accepted losses

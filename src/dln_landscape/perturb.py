@@ -10,10 +10,12 @@ construct *escape certificates*: perturbed chains with (numerically) the
 same loss whose lower super layer sees a nonzero gradient, witnessing that a
 critical chain sits on an escapable plateau rather than at a local minimum.
 
-A rank-deficient lower super layer is the transposed case.  One walk, from
-one bottom-up pass over the chain's factors, serves both: on the factors
-(``escape_construction``), or on the views ``M_k^T, ..., M_1^T``
-(``escape_construction_mirrored``), mapped back at the end.
+A rank-deficient lower super layer is the transposed case.  One walk serves
+both, from two passes: the prefix products of the chain's factors, bottom
+up, and those of the views ``M_k^T, ..., M_2^T``, top down.  On the factors
+(``escape_construction``) the first gives the walk's products and the
+second its kernel products; on the views ``M_k^T, ..., M_1^T``
+(``escape_construction_mirrored``), mapped back at the end, they swap.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .network import (
     prefix_products,
     running_product,
     split_or_raise,
-    suffix_products,
 )
 
 __all__ = [
@@ -156,8 +157,14 @@ def kernel_family(
     through the rank-deficient upper super layer.  Raises
     :class:`FullRankAboveError` when the upper super layer has full rank.
     """
-    above = suffix_products(chain.factors, 1)
-    return _kernels([above[i] for i in range(1, split.index + 1)], split.above, "upper", rank_tol)
+    top = prefix_products(_views(chain.factors[1:]))
+    return _kernels([top[chain.k - 1 - i].T for i in range(1, split.index + 1)],
+                    split.above, "upper", rank_tol)
+
+
+def _views(mats) -> list[np.ndarray]:
+    """The transposed chain of ``mats``: their transposes, in reverse order."""
+    return [m.T for m in reversed(mats)]
 
 
 def _kernels(products, super_layer, name: str, rank_tol: float) -> list[np.ndarray]:
@@ -220,7 +227,6 @@ def escape_construction(
     loss: ConvexLoss,
     delta: float | None = None,
     tols: Tolerances = Tolerances(),
-    split: BottleneckSplit | None = None,
 ) -> EscapeCertificate:
     """Certify that a chain with a rank-deficient upper super layer is not a
     local minimum, by perturbing lower layers without changing the loss.
@@ -249,7 +255,7 @@ def escape_construction(
     super-layer gradient or loss change is inf or NaN).  A bad ``delta``,
     then a loss or gradient norm that is not finite, raise ``ValueError``.
     """
-    return _escape(chain, loss, delta, tols, split, "below")
+    return _escape(chain, loss, delta, tols, "below")
 
 
 def escape_construction_mirrored(
@@ -257,7 +263,6 @@ def escape_construction_mirrored(
     loss: ConvexLoss,
     delta: float | None = None,
     tols: Tolerances = Tolerances(),
-    split: BottleneckSplit | None = None,
 ) -> EscapeCertificate:
     """Escape certificate for a rank-deficient *lower* super layer.
 
@@ -265,45 +270,36 @@ def escape_construction_mirrored(
     layers while preserving convexity of the loss, so the walk of
     :func:`escape_construction`, run on the views ``M_k^T, ..., M_1^T``,
     perturbs layers ``j+1..k``; the certificate is expressed in the
-    original frame (``side == "above"``).  It starts from the same
-    bottom-up pass: the views' prefix products are the chain's suffix
-    products transposed, and their kernel products its prefix products.
+    original frame (``side == "above"``).  Its kernel products are the
+    chain's prefix products transposed.
     """
-    return _escape(chain, loss, delta, tols, split, "above")
+    return _escape(chain, loss, delta, tols, "above")
 
 
-def _escape(chain, loss, delta, tols, split, side: str) -> EscapeCertificate:
-    """Both escape entry points: refuse a bad ``delta``, build the chain's
-    one checked bottom-up pass, and walk ``side``."""
+def _escape(chain, loss, delta, tols, side: str) -> EscapeCertificate:
+    """Both escape entry points: refuse a bad ``delta``, make the chain's
+    one checked first-order pass, and walk ``side``."""
     _check_delta(delta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        below = prefix_products(chain.factors)
-        _, value, grad = _finite_loss_state(below[-1], loss)
-    return _escape_walk(chain, loss, delta, tols, split, side, below, value, grad)
+    below, _, value, grad = _finite_loss_state(chain.factors, loss)
+    return _escape_walk(chain, loss, delta, tols, None, side, below, value, grad)
 
 
 def reversed_chain(chain: FactorChain) -> FactorChain:
     """The chain computing the transposed product: reversed, transposed factors."""
-    return FactorChain(tuple(m.T for m in reversed(chain.factors)))
+    return FactorChain(tuple(_views(chain.factors)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _escape_walk(chain, loss, delta, tols, split, side: str,
                  below, original_loss, grad) -> EscapeCertificate:
     """The walk of :func:`escape_construction` from the chain's prefix
-    products ``below`` and the loss and gradient at their end.  With ``side
-    == "above"`` it runs on the views ``M_k^T, ..., M_1^T`` and ``G^T``,
-    whose prefix products are the chain's suffix products transposed; a
-    step there multiplies as those do, ``(c^T m^T)^T``, to the bit."""
+    products ``below`` and the loss and gradient at their end.  It builds
+    one more pass, ``top``, the prefix products of the views ``M_k^T, ...,
+    M_2^T``; on side ``"below"`` their transposes are the kernel products.
+    On side ``"above"`` the two passes swap roles, and the walk runs, with
+    the same steps, on the views ``M_k^T, ..., M_1^T`` and ``G^T``."""
     split = split_or_raise(chain, split)
     k, flip = chain.k, side == "above"
-
-    def frame(mats) -> list[np.ndarray]:
-        """Factors of one frame in the other: reversed and transposed views."""
-        return [m.T for m in reversed(mats)] if flip else list(mats)
-
-    mats = frame(chain.factors)
-    j = k - split.index if flip else split.index
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm <= tols.grad_tol:
         raise GradientVanishesError(
@@ -316,15 +312,12 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
     # grad_tol at the default scale and shrinks with a smaller delta.
     gradient_floor = tols.grad_tol * min(1.0, delta / scale)
 
-    if flip:
-        kernels = _kernels([below[k - 1 - i].T for i in range(1, j + 1)],
-                           split.below, "lower", tols.rank_tol)
-        above = suffix_products(chain.factors, split.index)
-        prefixes, grad = [above[k - i].T for i in range(1, j + 1)], grad.T
-        step = lambda m, c: c.T.dot(m.T).T  # noqa: E731
-    else:
-        kernels = kernel_family(chain, split, tols.rank_tol)
-        prefixes, step = below, lambda m, c: m.dot(c)  # noqa: E731
+    top = prefix_products(_views(chain.factors[1:]))
+    mats, j, prefixes, others, grad, super_layer, name = (
+        (_views(chain.factors), k - split.index, top, below, grad.T, split.below, "lower")
+        if flip else (chain.factors, split.index, below, top, grad, split.above, "upper"))
+    kernels = _kernels([others[k - 1 - i].T for i in range(1, j + 1)],
+                       super_layer, name, tols.rank_tol)
     member_threshold = tols.subspace_tol * grad_norm
 
     # Find the first layer whose (unperturbed) partial product is fully
@@ -354,7 +347,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
         # definition, so the walk perturbs it first.
         current, first = prefixes[containment_start - 2], containment_start
     for i in range(first, j + 1):
-        candidate = step(mats[i - 1], current)
+        candidate = mats[i - 1].dot(current)
         if np.max(_row_scores(candidate, grad)) > member_threshold:
             current = candidate
         else:
@@ -367,20 +360,19 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
         else RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
         for i in (range(j, 0, -1) if flip else range(1, j + 1))
     )
-    moved_mats = list(mats)
+    moved = list(mats)
     for i in range(1, j + 1):
         if np.any(vs[i - 1] != 0.0):
-            moved_mats[i - 1] = mats[i - 1] + np.outer(kernels[i - 1], vs[i - 1])
-    factors, lower = frame(moved_mats), moved_mats[0]
-    for m in moved_mats[1:j]:
-        lower = step(m, lower)
+            moved[i - 1] = mats[i - 1] + np.outer(kernels[i - 1], vs[i - 1])
+    lower = running_product(moved[:j])
+    factors = _views(moved) if flip else moved
     # No layer below the cut moves on the above side: ``below`` holds the
     # perturbed chain's lower super layer there.
-    moved = running_product([below[split.index - 1] if flip else lower, *factors[split.index:]])
+    product = running_product([below[split.index - 1] if flip else lower, *factors[split.index:]])
     scores = _row_scores(lower, grad)
     witness_row = int(np.argmax(scores))
     super_gradient_norm = float(np.linalg.norm(grad.dot(lower.T)))
-    loss_delta = (loss.value(moved) if np.all(np.isfinite(moved)) else np.inf) - original_loss
+    loss_delta = (loss.value(product) if np.all(np.isfinite(product)) else np.inf) - original_loss
 
     diagnostics = {
         "witness_score": float(scores[witness_row]),

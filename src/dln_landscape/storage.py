@@ -28,7 +28,7 @@ import numpy as np
 
 from .analyze import Classification, CriticalPointReport
 from .harness import Trajectory, TrajectoryPoint
-from .network import ConvexLoss, FactorChain, LogCoshLoss, QuadraticLoss, _check_finite_loss
+from .network import ConvexLoss, FactorChain, LogCoshLoss, QuadraticLoss, _finite_loss_state
 from .perturb import EscapeCertificate
 
 __all__ = [
@@ -161,7 +161,7 @@ def save_instance(
     provenance: dict | None = None,
 ) -> Path:
     """Write chain + loss data + manifest into ``directory`` (created)."""
-    _check_finite_loss(chain, loss)
+    _finite_loss_state(chain.factors, loss)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     factors = _save_factors(directory, chain)
@@ -230,7 +230,7 @@ def load_instance(directory) -> tuple[FactorChain, ConvexLoss, dict]:
         loss = LogCoshLoss(matrix("target"))
     else:
         raise ValueError(f"unknown loss kind {kind!r} in {directory}")
-    _check_finite_loss(chain, loss)
+    _finite_loss_state(chain.factors, loss)
     return chain, loss, manifest
 
 
@@ -271,16 +271,21 @@ def save_trajectory_csv(path, trajectory: Trajectory) -> None:
 
 
 def load_trajectory_csv(path) -> list[TrajectoryPoint]:
+    """The points stored at ``path``.  A row that is not five fields, an
+    integer step, two floats (``inf`` and ``nan`` among them, as a descent
+    can record a ``max_grad`` that is not finite) and two integer ranks is
+    refused with one ``ValueError`` line naming the file and the line."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != TRAJECTORY_HEADER:
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines or lines[0][1] != TRAJECTORY_HEADER:
         raise ValueError(f"{path} does not start with {TRAJECTORY_HEADER!r}")
     points = []
-    for line in lines[1:]:
-        step, loss, max_grad, ra, rb = line.split(",")
-        points.append(
-            TrajectoryPoint(int(step), float(loss), float(max_grad), int(ra), int(rb))
-        )
+    for n, line in lines[1:]:
+        try:
+            step, loss, max_grad, ra, rb = line.split(",")
+            points.append(TrajectoryPoint(int(step), float(loss), float(max_grad), int(ra), int(rb)))
+        except ValueError:
+            raise ValueError(f"{path} line {n} is not a trajectory row: {line!r}") from None
     return points
 
 

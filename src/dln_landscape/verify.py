@@ -230,17 +230,17 @@ def _section_product_invariance(seed: int, trials: int) -> SectionResult:
     return SectionResult("product_invariance", passed, checks, "; ".join([detail, *errors]))
 
 
-def _escape_and_descend(problems, budget: int, target=None):
+def _escape_and_descend(problems, target=None):
     """Yield ``(report, after, error)`` per ``(chain, loss)``: its
     classification (None when the escape construction failed), the loss a
-    descent search from an escapable plateau (with that ``target``)
-    reached, and why the construction or the search failed."""
+    descent search from an escapable plateau (at its default budget, with
+    that ``target``) reached, and why the construction or the search failed."""
     for chain, loss in problems:
         report = after = error = None
         try:
             report = classify(chain, loss)
             if report.label is Classification.ESCAPABLE_PLATEAU:
-                after = chain_loss(descent_search(chain, loss, report, budget=budget, target=target), loss)
+                after = chain_loss(descent_search(chain, loss, report, target=target), loss)
         except (ConstructionFailedError, DescentNotFoundError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         yield report, after, error
@@ -255,7 +255,7 @@ def _section_escape_and_descent(seed: int, trials: int) -> SectionResult:
             InstanceSpec(dims=dims, construction="rank_deficient_plateau", loss_kind=kind, seed=inst_seed)
         )
         problems.append((inst.chain, inst.loss))
-    outcomes = list(_escape_and_descend(problems, 500))
+    outcomes = list(_escape_and_descend(problems))
     checks = len(outcomes)
     failures = sum(after is None or not after < report.loss for report, after, _ in outcomes)
     detail = (
@@ -279,7 +279,7 @@ def _section_canonical_plateau(seed: int, trials: int) -> SectionResult:
     if convex_norm != 2.0 * np.sqrt(2.0):
         problems.append(f"convex gradient norm {fmt_float(convex_norm)} != 2*sqrt(2)")
 
-    [(report, after, error)] = _escape_and_descend([(chain, loss)], 500, target=2.0 - 1e-3)
+    [(report, after, error)] = _escape_and_descend([(chain, loss)], target=2.0 - 1e-3)
     if report is not None:
         if report.label is not Classification.ESCAPABLE_PLATEAU:
             problems.append(f"label {report.label.value}")

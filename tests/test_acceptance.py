@@ -169,7 +169,7 @@ def test_acceptance_3_constructed_plateaus_escape_and_descend():
         )
         for i in range(500)
     ]
-    outcomes = _escape_and_descend([(inst.chain, inst.loss) for inst in instances], 500)
+    outcomes = _escape_and_descend([(inst.chain, inst.loss) for inst in instances])
     successes = 0
     failures = []
     construction_failed = False

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dln_landscape import analyze, perturb
+from dln_landscape import analyze, network, perturb
 from dln_landscape.analyze import (
     Classification,
     DescentNotFoundError,
@@ -317,11 +317,11 @@ def test_a_finite_logcosh_loss_on_huge_data_keeps_its_label(construction, label)
 
 
 def _count_first_order_calls(monkeypatch, chain, loss) -> dict:
-    """The loss-core calls and the ``prefix_products`` builds over the
-    chain's own factors or over their reversed transposes that one
-    ``classify`` of ``chain`` makes."""
+    """The loss-core calls and the ``network.prefix_products`` builds over
+    the chain's own factors, or over the views ``M_k^T, ..., M_2^T`` of all
+    but its first, that one ``classify`` of ``chain`` makes."""
     calls = {"_gradient": 0, "_value": 0, "_residual": 0, "prefix_products": 0,
-             "reversed_prefix_products": 0}
+             "view_prefix_products": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -331,17 +331,17 @@ def _count_first_order_calls(monkeypatch, chain, loss) -> dict:
 
     for name in ("_gradient", "_value", "_residual"):
         monkeypatch.setattr(loss, name, counted(name, getattr(loss, name)))
-    own, real = chain.factors, analyze.prefix_products
+    own, real = chain.factors, network.prefix_products
 
     def prefix_products(mats):
         if len(mats) == len(own) and all(a is b for a, b in zip(mats, own)):
             calls["prefix_products"] += 1
-        if len(mats) == len(own) and all(a.base is b for a, b in zip(mats, own[::-1])):
-            calls["reversed_prefix_products"] += 1
+        if len(mats) == len(own) - 1 and all(a.base is b for a, b in zip(mats, own[:0:-1])):
+            calls["view_prefix_products"] += 1
         return real(mats)
 
-    monkeypatch.setattr(analyze, "prefix_products", prefix_products)
-    monkeypatch.setattr(perturb, "prefix_products", prefix_products)
+    for module in (network, analyze, perturb):
+        monkeypatch.setattr(module, "prefix_products", prefix_products)
     report = classify(chain, loss)
     assert report.label is Classification.ESCAPABLE_PLATEAU
     return calls
@@ -353,19 +353,20 @@ def test_classify_makes_one_first_order_pass(monkeypatch, kind):
                                      loss_kind=kind, seed=1))
     calls = _count_first_order_calls(monkeypatch, inst.chain, inst.loss)
     # One pass at the product, one gradient at above·below, one value at
-    # the perturbed product.
+    # the perturbed product, and one pass over the views for the kernels.
     assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1,
-                     "reversed_prefix_products": 0}
+                     "view_prefix_products": 1}
 
 
 def test_mirrored_classify_makes_one_first_order_pass(monkeypatch):
     # The seed-11 chain with layers 1 and 2 zeroed escapes on the above
-    # side, from the same one pass as a below-side escape.
+    # side, from the same two passes as a below-side escape: there the
+    # view pass gives the walk's products.
     base = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), seed=11))
     chain = base.chain.with_factor(1, np.zeros((4, 3))).with_factor(2, np.zeros((2, 4)))
     calls = _count_first_order_calls(monkeypatch, chain, base.loss)
     assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1,
-                     "reversed_prefix_products": 0}
+                     "view_prefix_products": 1}
 
 
 def _certificate_bytes(cert) -> list:
@@ -387,14 +388,13 @@ def test_classify_certificate_is_the_escape_construction_bit_for_bit(dims, kind,
     tols = Tolerances()
     inst = gen_instance(InstanceSpec(dims=dims, construction="rank_deficient_plateau",
                                      loss_kind=kind, seed=seed))
-    split = bottleneck_split(inst.chain)
     try:
         got = classify(inst.chain, inst.loss, tols=tols, delta=delta).escape
     except (ValueError, RuntimeError) as exc:  # the package's refusals
         with pytest.raises(type(exc)):
-            escape_construction(inst.chain, inst.loss, delta=delta, tols=tols, split=split)
+            escape_construction(inst.chain, inst.loss, delta=delta, tols=tols)
         return
-    want = escape_construction(inst.chain, inst.loss, delta=delta, tols=tols, split=split)
+    want = escape_construction(inst.chain, inst.loss, delta=delta, tols=tols)
     assert _certificate_bytes(got) == _certificate_bytes(want)
 
 
@@ -436,6 +436,5 @@ def test_mirrored_certificate_starts_from_the_reports_loss(dims, kind, seed, del
     assert report.label is Classification.ESCAPABLE_PLATEAU
     assert report.escape.side == "above"
     assert report.escape.original_loss.hex() == report.loss.hex()
-    want = escape_construction_mirrored(chain, loss, delta=delta, tols=tols,
-                                        split=bottleneck_split(chain))
+    want = escape_construction_mirrored(chain, loss, delta=delta, tols=tols)
     assert _certificate_bytes(report.escape) == _certificate_bytes(want)

@@ -26,9 +26,20 @@ from dln_landscape.network import (
     interior_bottleneck,
     prefix_products,
     running_product,
-    suffix_products,
     validate_loss_contract,
 )
+
+
+def suffix_products(mats, lowest: int) -> dict[int, np.ndarray]:
+    """The products ``M_k ... M_{i+1}`` above layer ``i``, keyed by ``i``,
+    for ``i`` from ``k - 1`` down to ``lowest``: ``M_k`` itself, then each
+    entry times ``M_{i+1}``, accumulated from the top.  Layer ``k`` gets no
+    entry.  The reference gradient formula below is built on them."""
+    k = len(mats)
+    above = {k - 1: mats[-1]} if lowest < k else {}
+    for i in range(k - 2, lowest - 1, -1):
+        above[i] = above[i + 1].dot(mats[i])
+    return above
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dln_landscape import optim
+from dln_landscape import network, optim
 from dln_landscape.analyze import Classification, classify
 from dln_landscape.harness import InstanceSpec, gen_instance, train_gd
 from dln_landscape.linalg import DEFAULT_GRAD_TOL
@@ -175,26 +175,33 @@ def test_train_gd_path_matches_full_rebuild_bitwise(loss_kind):
         assert got.tobytes() == want.tobytes()
 
 
-def _counting(monkeypatch, name, log=None):
-    """Replace ``optim.<name>`` with a wrapper that records ``(name, args,
+def _counting(monkeypatch, name, log=None, module=optim):
+    """Replace ``module.<name>`` with a wrapper that records ``(name, args,
     result)`` for each call in ``log``."""
     log = [] if log is None else log
-    original = getattr(optim, name)
+    original = getattr(module, name)
 
     def counted(*args):
         result = original(*args)
         log.append((name, args, result))
         return result
 
-    monkeypatch.setattr(optim, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return log
+
+
+def _counting_forward_products(monkeypatch):
+    """Record every ``prefix_products`` call of a descent: the start's,
+    which ``network._finite_loss_state`` makes, and each trial's."""
+    log = _counting(monkeypatch, "prefix_products", module=network)
+    return _counting(monkeypatch, "prefix_products", log)
 
 
 def test_products_skip_the_frozen_layers_below(monkeypatch):
     chain, loss = _start((6, 6, 6, 6, 3, 6, 6, 6, 6), "rank_deficient_plateau", "quadratic", 2)
     k, lo = chain.k, 5
     running = _counting(monkeypatch, "running_product")
-    forward = _counting(monkeypatch, "prefix_products")
+    forward = _counting_forward_products(monkeypatch)
     gradient = _counting(monkeypatch, "gradient_core")
     result = armijo_gd(chain.factors, loss, range(lo, k + 1), 10, STOP_GRAD_TOL)
     assert result.steps > 0
@@ -245,7 +252,7 @@ class _LoggedInputs(np.ndarray):
 @pytest.mark.parametrize("loss_kind", ("quadratic", "logcosh"))
 def test_a_step_builds_one_forward_product_per_trial(monkeypatch, loss_kind):
     inst = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), loss_kind=loss_kind, seed=4))
-    log = _counting(monkeypatch, "prefix_products")
+    log = _counting_forward_products(monkeypatch)
     _counting(monkeypatch, "gradient_core", log)
     _logging_cores(monkeypatch, type(inst.loss), log)
     if loss_kind == "quadratic":

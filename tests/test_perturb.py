@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dln_landscape.analyze import super_gradients
 from dln_landscape.harness import InstanceSpec, gen_instance
 from dln_landscape.linalg import (
     RankDeficientLiftError,
     Tolerances,
     best_rank_approx,
     min_norm_right_solve,
+    numerical_rank,
 )
 from dln_landscape.network import (
     FactorChain,
+    LogCoshLoss,
     QuadraticLoss,
     bottleneck_split,
+    chain_loss,
     end_to_end,
     layer_gradients,
     make_split,
@@ -43,6 +47,37 @@ def _plateau(dims, seed, kind="quadratic"):
     )
 
 
+def _cut_critical(seed: int, kind: str = "quadratic", side: str = "below"):
+    """A critical generic chain 8–16 wide with one super layer of rank
+    ``d - 1``: its top factor is cut to that rank for ``side == "below"``
+    (the lower super layer escapes), its bottom factor for ``"above"``.
+
+    With ``U`` an orthonormal basis orthogonal to the range of the upper
+    super layer, ``V`` one orthogonal to the row space of the lower one and
+    ``R = U Z V^T``, the quadratic targets ``W X + R (X X^T)^{-1} X / 2``
+    make the convex gradient ``-R``, and the log-cosh target
+    ``W - artanh(-c R)`` makes it ``-c R``; either kills every layer
+    gradient.  Both end widths exceed ``d``, so ``R`` is not zero."""
+    rng = np.random.default_rng(seed)
+    k, d = int(rng.integers(3, 6)), int(rng.integers(8, 12))
+    dims = [int(w) for w in rng.integers(d + 1, 17, size=k + 1)]
+    dims[int(rng.integers(1, k))] = d
+    inst = gen_instance(InstanceSpec(dims=tuple(dims), loss_kind=kind, seed=seed))
+    factors = list(inst.chain.factors)
+    cut = -1 if side == "below" else 0
+    factors[cut] = best_rank_approx(factors[cut], d - 1)
+    chain = FactorChain(tuple(factors))
+    split = bottleneck_split(chain)
+    u = np.linalg.svd(split.above)[0][:, numerical_rank(split.above):]
+    v = np.linalg.svd(split.below)[2][numerical_rank(split.below):].T
+    r = u @ rng.standard_normal((u.shape[1], v.shape[1])) @ v.T
+    w = end_to_end(chain)
+    if kind == "quadratic":
+        x = inst.loss.inputs
+        return chain, QuadraticLoss(x, w @ x + 0.5 * r @ np.linalg.solve(x @ x.T, x))
+    return chain, LogCoshLoss(w - np.arctanh(-0.5 * r / np.abs(r).max()))
+
+
 class TestKernelFamily:
     def test_canonical_kernels(self):
         chain, _ = canonical_plateau()
@@ -60,14 +95,18 @@ class TestKernelFamily:
             kernel_family(chain, split)
 
     def test_kernels_annihilated_by_upper_products(self):
-        inst = _plateau((3, 4, 2, 4, 3), seed=3)
-        split = bottleneck_split(inst.chain)
-        family = kernel_family(inst.chain, split)
-        assert len(family) == split.index
-        for i, w in enumerate(family, start=1):
-            upper = partial_product(inst.chain, i + 1, inst.chain.k)
-            assert np.linalg.norm(upper @ w) <= 1e-12 * (1.0 + np.linalg.norm(upper))
-            assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+        # A plateau, whose upper products are exact zeros, and generic
+        # chains whose top factor is cut to rank d - 1.
+        chains = [_plateau((3, 4, 2, 4, 3), seed=3).chain]
+        chains += [_cut_critical(seed)[0] for seed in range(6)]
+        for chain in chains:
+            split = bottleneck_split(chain)
+            family = kernel_family(chain, split)
+            assert len(family) == split.index
+            for i, w in enumerate(family, start=1):
+                upper = partial_product(chain, i + 1, chain.k)
+                assert np.linalg.norm(upper @ w) <= 1e-12 * (1.0 + np.linalg.norm(upper))
+                assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
 
 class TestApplyFamily:
@@ -224,6 +263,30 @@ class TestEscapeConstruction:
         out = apply_family(inst.chain, family)
         w = end_to_end(inst.chain)
         assert np.linalg.norm(end_to_end(out) - w) <= 1e-9 * (1.0 + np.linalg.norm(w))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("quadratic", "logcosh")),
+       st.sampled_from(("below", "above")))
+def test_certificates_on_wide_cut_chains_keep_the_loss_and_escape(seed, kind, side):
+    # The direct certificate when the top factor is cut, the mirrored one
+    # when the bottom factor is: the loss stays within the invariance bound,
+    # the layers on the other side of the cut keep their bytes, and the
+    # escaped super-layer gradient, recomputed, clears the gradient floor.
+    tols = Tolerances()
+    chain, loss = _cut_critical(seed, kind, side)
+    construction = escape_construction if side == "below" else escape_construction_mirrored
+    cert = construction(chain, loss, tols=tols)
+    assert cert.side == side
+    before, after = chain_loss(chain, loss), chain_loss(cert.perturbed_chain, loss)
+    assert abs(after - before) <= tols.invariance_tol * (1.0 + abs(before))
+    j = bottleneck_split(chain).index
+    kept = range(j, chain.k) if side == "below" else range(j)
+    for i in kept:
+        assert cert.perturbed_chain.factors[i].tobytes() == chain.factors[i].tobytes()
+    above_grad, below_grad = super_gradients(cert.perturbed_chain, loss)
+    escaped = above_grad if side == "below" else below_grad
+    assert np.linalg.norm(escaped) > tols.grad_tol
+    assert cert.super_gradient_norm > tols.grad_tol
 
 
 class TestMirroredConstruction:

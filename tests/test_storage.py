@@ -294,6 +294,21 @@ class TestTrajectoryCSV:
         with pytest.raises(ValueError):
             load_trajectory_csv(p)
 
+    @pytest.mark.parametrize("row", ("0,1.0,2.0,1", "0,1.0,2.0,1,1,1", "x,1.0,2.0,1,1",
+                                     "0,1.0,2.0,1.5,1", "0,1.0,two,1,1"))
+    def test_bad_row_refused_with_one_line_naming_the_file(self, tmp_path, row):
+        p = tmp_path / "traj.csv"
+        p.write_text(f"{TRAJECTORY_HEADER}\n0,1.0,2.0,1,1\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_trajectory_csv(p)
+        assert str(info.value) == f"{p} line 4 is not a trajectory row: {row!r}"
+
+    def test_non_finite_floats_load(self, tmp_path):
+        p = tmp_path / "traj.csv"
+        p.write_text(f"{TRAJECTORY_HEADER}\n0,inf,nan,-1,-1\n", encoding="utf-8")
+        [point] = load_trajectory_csv(p)
+        assert point.loss == np.inf and np.isnan(point.max_grad)
+
     def test_sentinel_ranks_survive(self, tmp_path):
         inst = gen_instance(InstanceSpec(dims=(2, 3, 2), seed=6))
         _, trajectory = train_gd(inst.chain, inst.loss, max_steps=2)

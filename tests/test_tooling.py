@@ -14,7 +14,8 @@ nothing.  Every name a module imports is used in it or listed in its
 through ``ndarray.dot`` (see the ``network`` module docstring).  The
 descent adds its floats up left to right, not with builtin ``sum()``,
 which is compensated from Python 3.12 and would round differently there.
-Every stop status of the descent is documented where its readers look.
+Every stop status of the descent is documented where its readers look, and
+every private helper of the package has a caller in it.
 """
 
 import ast
@@ -163,6 +164,26 @@ def test_every_imported_name_is_used_or_exported():
         used.update(importlib.import_module(name).__all__)
         dead += [f"{stem} imports {n}" for n in _imported_names(tree) if n not in used]
     assert not dead, f"imported but never used: {dead}"
+
+
+def test_every_private_helper_has_a_caller():
+    # A ``_``-prefixed function, method or class that nothing in the package
+    # names outside its own definition is dead code left behind; an import
+    # alone is not a use.
+    defs, uses = [], []
+    for stem, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                inside = {id(n) for n in ast.walk(node)}
+                defs.append((stem, node.name, inside))
+            if isinstance(node, ast.Name):
+                uses.append((id(node), node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((id(node), node.attr))
+    dead = [f"{stem}.{name}" for stem, name, inside in defs
+            if not any(n == name and i not in inside for i, n in uses)]
+    assert not dead, f"private helpers with no caller: {dead}"
 
 
 def test_no_product_uses_the_matmul_operator():
