@@ -11,7 +11,8 @@ Cholesky factorisation of the shifted Gram matrix, which certifies full rank
 far above the cutoff, and runs the SVD only when that certificate fails; the
 integer it returns is the SVD's either way.  Its core ``_finite_rank`` runs
 the same two steps without first scanning the input for non-finite entries,
-for a caller that has checked them already (``network.balance_gauge``).
+for a caller that has checked them already (``network.balance_gauge``), and
+``_rank_of_spectrum`` counts singular values that a caller already holds.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_RANK_TOL",
     "DEFAULT_GRAD_TOL",
     "DEFAULT_INVARIANCE_TOL",
     "Tolerances",

@@ -37,7 +37,7 @@ the two "super layers" above and below the cut; most of the landscape
 analysis in this package happens at that level.  :func:`balance_gauge`
 moves a chain, at the same product, to the gauge at that cut where the two
 super layers' Gram matrices are equal, where ``verify`` starts (and every
-25 steps restarts) its oracle and restart descents.
+100 steps restarts) its oracle and restart descents.
 """
 
 from __future__ import annotations
@@ -48,7 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_INVARIANCE_TOL, _finite_rank, ensure_matrix
+from .linalg import (
+    DEFAULT_INVARIANCE_TOL,
+    DEFAULT_RANK_TOL,
+    _finite_rank,
+    _rank_of_spectrum,
+    ensure_matrix,
+)
 
 __all__ = [
     "ShapeMismatchError",
@@ -430,18 +436,6 @@ def split_or_raise(chain: FactorChain, split: BottleneckSplit | None = None) -> 
     return split
 
 
-def _sqrt_pair(s: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``S^{1/2}`` and ``S^{-1/2}`` of a symmetric matrix from one ``eigh``,
-    or ``None`` unless ``S`` is finite and every eigenvalue is positive."""
-    if not np.isfinite(s).all():
-        return None
-    w, v = np.linalg.eigh(s)
-    if not w[0] > 0.0:
-        return None
-    r = np.sqrt(w)
-    return (v * r).dot(v.T), (v / r).dot(v.T)
-
-
 def balance_gauge(factors) -> list[np.ndarray]:
     """The chain ``factors`` moved to the balanced gauge at its bottleneck cut.
 
@@ -449,18 +443,20 @@ def balance_gauge(factors) -> list[np.ndarray]:
     upper and ``B = M_j ... M_1`` the lower super layer, the product does not
     change under ``M_j -> G M_j``, ``M_{j+1} -> M_{j+1} G^{-1}`` for any
     invertible d x d ``G``, but descent speed does: along a direction where
-    one super layer is weak the gradient is tiny.  ``G = X^{1/2}``, with
-    ``X`` the matrix geometric mean of ``(B B^T)^{-1}`` and ``A^T A``, makes
-    the two Gram matrices equal, ``G B B^T G = G^{-1} A^T A G^{-1}``; it takes
-    three ``eigh`` of d x d matrices.  Approximate balance is what gives
-    descent on deep linear chains linear convergence (Arora, Cohen, Golowich
-    & Hu 2019).  Gradient flow keeps the balance it starts with (Du, Hu &
-    Lee 2018), but large discrete steps need not, so a long descent may
-    return to this gauge more than once.
+    one super layer is weak the gradient is tiny.  From two thin SVDs,
+    ``B = U S V^T`` and ``A U S = P T R^T``, ``G = T^{1/2} R^T S^{-1} U^T``
+    makes both Gram matrices ``T``: ``G B B^T G^T = G^{-T} A^T A G^{-1}``.
+    ``G^T G`` is the geometric mean of ``(B B^T)^{-1}`` and ``A^T A``, so
+    ``G`` is its square root up to an orthogonal factor at the cut, under
+    which descent is equivariant.  Approximate balance gives descent on deep
+    linear chains linear convergence (Arora, Cohen, Golowich & Hu 2019);
+    gradient flow keeps it (Du, Hu & Lee 2018) but large discrete steps need
+    not, so a long descent may return to this gauge more than once.
 
     Returns a list of the input arrays, unchanged, when the chain has no
-    interior bottleneck, either super layer has numerical rank below ``d``,
-    anything comes out non-finite, or the gauged product moves by more than
+    interior bottleneck, either super layer has numerical rank below ``d``
+    (the lower one's counted from its SVD), ``A U S`` is not finite or
+    singular, or the gauged product is not finite or moves by more than
     ``DEFAULT_INVARIANCE_TOL * (1 + |W|_F)``.
     """
     mats = list(factors)
@@ -472,22 +468,24 @@ def balance_gauge(factors) -> list[np.ndarray]:
         if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
             return mats
         d = lower.shape[0]
-        # Both are finite, so the rank test skips numerical_rank's scan.
-        if _finite_rank(upper) < d or _finite_rank(lower) < d:
+        # Both are finite, so the upper rank test skips numerical_rank's
+        # scan; the lower one counts the spectrum of the SVD the gauge needs.
+        if _finite_rank(upper) < d:
             return mats
-        lower_gram = _sqrt_pair(lower.dot(lower.T))
-        if lower_gram is None:
+        u, s, _ = np.linalg.svd(lower, full_matrices=False)
+        if _rank_of_spectrum(s, DEFAULT_RANK_TOL) < d:
             return mats
-        half, inv_half = lower_gram
-        middle = _sqrt_pair(half.dot(upper.T.dot(upper)).dot(half))
-        if middle is None:
+        scaled = u * s
+        mixed = upper.dot(scaled)
+        if not np.isfinite(mixed).all():
             return mats
-        gauge = _sqrt_pair(inv_half.dot(middle[0]).dot(inv_half))
-        if gauge is None:
+        _, t, rt = np.linalg.svd(mixed, full_matrices=False)
+        if not t[-1] > 0.0:
             return mats
+        root = np.sqrt(t)
         gauged = list(mats)
-        gauged[j - 1] = gauge[0].dot(mats[j - 1])
-        gauged[j] = mats[j].dot(gauge[1])
+        gauged[j - 1] = (root[:, None] * rt / s).dot(u.T).dot(mats[j - 1])
+        gauged[j] = mats[j].dot(scaled.dot(rt.T) / root)
         product = running_product(mats)
         drift = _norm(running_product(gauged) - product)
         bound = DEFAULT_INVARIANCE_TOL * (1.0 + _norm(product))

@@ -274,7 +274,9 @@ def load_trajectory_csv(path) -> list[TrajectoryPoint]:
     """The points stored at ``path``.  A row that is not five fields, an
     integer step, two floats (``inf`` and ``nan`` among them, as a descent
     can record a ``max_grad`` that is not finite) and two integer ranks is
-    refused with one ``ValueError`` line naming the file and the line."""
+    refused with one ``ValueError`` line naming the file and the line, as is
+    a digit separator (``1_0``) or a non-ASCII character, which
+    :func:`load_matrix_csv` refuses and ``int()`` and ``float()`` read."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines or lines[0][1] != TRAJECTORY_HEADER:
@@ -282,6 +284,8 @@ def load_trajectory_csv(path) -> list[TrajectoryPoint]:
     points = []
     for n, line in lines[1:]:
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError(line)
             step, loss, max_grad, ra, rb = line.split(",")
             points.append(TrajectoryPoint(int(step), float(loss), float(max_grad), int(ra), int(rb)))
         except ValueError:

@@ -365,9 +365,13 @@ def _section_lift_exactness(seed: int, trials: int) -> SectionResult:
 # gauge.  Large early steps can leave one super layer weak again: on 3,000
 # section-7 instances (1,500 each from `stream(2028, 999)` and
 # `stream(2030, 999)`) a single balancing at the start missed the oracle once
-# and ran past 2,000 steps 10 times, while re-balancing every 25 steps
-# missed none and never took 1,000.
-_REBALANCE_STEPS = 25
+# and let 4 runs pass 1,000 steps, while returning every 100 steps missed
+# none and took at most 603 (449 every 25 steps).  Over `verify_suite(s, 4)`
+# at s = 0-499, section 8's 16,000 restarts took about as many steps
+# returning every 25 as every 100 (median 56.5 and 54, at most 1,379 and
+# 1,638), and a return costs about 50 us (one BLAS thread, x86-64), so the
+# rarer returns make the cheaper descent.
+_REBALANCE_STEPS = 100
 
 # The balanced descents' Armijo test compares a trial against the largest of
 # the last 10 accepted losses (Grippo, Lampariello & Lucidi 1986, whose M is

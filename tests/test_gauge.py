@@ -300,11 +300,14 @@ def _cut_chain(d, below, above, rng, deficient):
     return mats
 
 
+_DEFICIENT = ((), ("lower",), ("upper",), ("lower", "upper"))
+
+
 @given(
     st.sampled_from((1, 2, 3, 8, 9, 10)),
     st.integers(1, 2),
     st.integers(1, 2),
-    st.sampled_from(((), ("lower",), ("upper",), ("lower", "upper"))),
+    st.sampled_from(_DEFICIENT),
     st.integers(0, 2**32 - 1),
 )
 def test_balance_gauge_refuses_a_super_layer_below_full_rank(d, below, above, deficient, seed):
@@ -326,15 +329,99 @@ def test_balance_gauge_refuses_a_super_layer_below_full_rank(d, below, above, de
         assert np.linalg.norm(running_product(balanced) - product) <= bound
 
 
+def _sqrt_pair(s: np.ndarray):
+    """``S^{1/2}`` and ``S^{-1/2}`` of a symmetric matrix from one ``eigh``,
+    or ``None`` unless ``S`` is finite and every eigenvalue is positive."""
+    if not np.isfinite(s).all():
+        return None
+    w, v = np.linalg.eigh(s)
+    if not w[0] > 0.0:
+        return None
+    r = np.sqrt(w)
+    return (v * r) @ v.T, (v / r) @ v.T
+
+
+def _reference_gauge(factors):
+    """The balanced gauge from three ``eigh``: ``G = X^{1/2}``, with ``X``
+    the matrix geometric mean of ``(B B^T)^{-1}`` and ``A^T A``, behind the
+    rank tests and product bound of :func:`balance_gauge`."""
+    mats = list(factors)
+    j = interior_bottleneck((mats[0].shape[1],) + tuple(m.shape[0] for m in mats))
+    if j is None:
+        return mats
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper, lower = running_product(mats[j:]), running_product(mats[:j])
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            return mats
+        d = lower.shape[0]
+        if numerical_rank(upper) < d or numerical_rank(lower) < d:
+            return mats
+        lower_gram = _sqrt_pair(lower @ lower.T)
+        if lower_gram is None:
+            return mats
+        half, inv_half = lower_gram
+        middle = _sqrt_pair(half @ (upper.T @ upper) @ half)
+        if middle is None:
+            return mats
+        gauge = _sqrt_pair(inv_half @ middle[0] @ inv_half)
+        if gauge is None:
+            return mats
+        gauged = list(mats)
+        gauged[j - 1] = gauge[0] @ mats[j - 1]
+        gauged[j] = mats[j] @ gauge[1]
+        product = running_product(mats)
+        drift = np.linalg.norm(running_product(gauged) - product)
+        bound = DEFAULT_INVARIANCE_TOL * (1.0 + np.linalg.norm(product))
+    return gauged if drift <= bound else mats
+
+
+_GAUGE_CASES = st.one_of(
+    st.builds(
+        lambda dims, seed: list(_generic(dims, np.random.default_rng(seed), True)[0].factors),
+        st.sampled_from(_DIMS),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.builds(
+        lambda d, below, above, deficient, seed: _cut_chain(
+            d, below, above, np.random.default_rng(seed), deficient
+        ),
+        st.sampled_from((1, 2, 3, 8, 9, 10)),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.sampled_from(_DEFICIENT),
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@given(_GAUGE_CASES)
+def test_balance_gauge_agrees_with_the_three_eigh_reference(mats):
+    # The two gauges differ by an orthogonal factor at the cut, which
+    # cancels in the outer Gram matrices of the two super layers.
+    got, want = balance_gauge(mats), _reference_gauge(mats)
+    kept = all(g is m for g, m in zip(got, mats))
+    assert kept == all(w is m for w, m in zip(want, mats))
+    if kept:
+        return
+    j = interior_bottleneck((mats[0].shape[1],) + tuple(m.shape[0] for m in mats))
+    lower, upper = running_product(got[:j]), running_product(got[j:])
+    ref_lower, ref_upper = running_product(want[:j]), running_product(want[j:])
+    for gram, ref in ((lower.T @ lower, ref_lower.T @ ref_lower), (upper @ upper.T, ref_upper @ ref_upper.T)):
+        assert np.linalg.norm(gram - ref) <= 1e-10 * np.linalg.norm(ref)
+    inner = lower @ lower.T
+    assert np.linalg.norm(inner - upper.T @ upper) <= 1e-10 * np.linalg.norm(inner)
+
+
 def _breaching_chain() -> FactorChain:
-    """Widths 2-1-2-2 whose upper super layer ``M_3 M_2`` cancels a 1e12
-    column down to order one, so any rescaling at the cut moves the product
-    by about 1e-4 of its size through rounding alone."""
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((2, 1))
-    u /= np.linalg.norm(u)
-    top = np.eye(2) - u @ u.T + 1e-12 * rng.standard_normal((2, 2))
-    return FactorChain((rng.standard_normal((1, 2)), 1e12 * u, top))
+    """Widths 2-1-2-2-2 whose gauge breaches the product bound on every
+    kernel.  ``M_3 = M_4 = diag(1e30, 1e180)`` lift both rows of
+    ``M_2 = (1, 1e-300)^T`` to 1e60, so the gauge at the width-1 cut scales
+    ``M_2`` by about 1e-30.  Its second entry becomes about 1e-330 and
+    underflows to zero, six orders below the smallest subnormal, while the
+    original product forms ``M_2 M_1`` first, 1e-300 times ``M_1``, and
+    keeps that row: the gauged product loses its second row."""
+    scale = np.diag([1e30, 1e180])
+    return FactorChain((np.array([[1.0, 2.0]]), np.array([[1.0], [1e-300]]), scale, scale))
 
 
 def _unchanged_cases():
@@ -343,10 +430,15 @@ def _unchanged_cases():
     plateau = gen_instance(InstanceSpec(dims=(3, 4, 2, 4, 3), construction="rank_deficient_plateau", seed=1))
     assert numerical_rank(running_product(plateau.chain.factors[2:])) < 2
     breaching = _breaching_chain()
-    # Both super layers have full rank, so only the product bound refuses it.
+    # Both super layers have full rank and every gauge quantity is finite,
+    # so only the product bound refuses it.
     assert numerical_rank(running_product(breaching.factors[1:])) == 1
     assert numerical_rank(breaching.factors[0]) == 1
-    return no_bottleneck, plateau.chain, breaching
+    assert np.isfinite(end_to_end(breaching)).all()
+    # Both super layers are finite and of full rank, but their product is not.
+    rng = np.random.default_rng(0)
+    overflowing = FactorChain((1e200 * rng.standard_normal((3, 4)), 1e200 * rng.standard_normal((4, 3))))
+    return no_bottleneck, plateau.chain, breaching, overflowing
 
 
 def test_balance_gauge_leaves_ineligible_chains_bitwise_unchanged():

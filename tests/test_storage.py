@@ -295,13 +295,39 @@ class TestTrajectoryCSV:
             load_trajectory_csv(p)
 
     @pytest.mark.parametrize("row", ("0,1.0,2.0,1", "0,1.0,2.0,1,1,1", "x,1.0,2.0,1,1",
-                                     "0,1.0,2.0,1.5,1", "0,1.0,two,1,1"))
+                                     "0,1.0,2.0,1.5,1", "0,1.0,two,1,1",
+                                     # int() and float() read these as 10, 20.0, 3.0, 1, 2
+                                     "1_0, 2_0,\u0663,+1,\u0662",
+                                     "1_0,1.0,2.0,1,1", "0,1.0,2_0.5,1,1",
+                                     "\u0663,1.0,2.0,1,1", "0,\u0662.5,2.0,1,1",
+                                     "0,1.0,2.0,\uff11,1"))
     def test_bad_row_refused_with_one_line_naming_the_file(self, tmp_path, row):
         p = tmp_path / "traj.csv"
         p.write_text(f"{TRAJECTORY_HEADER}\n0,1.0,2.0,1,1\n\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_trajectory_csv(p)
         assert str(info.value) == f"{p} line 4 is not a trajectory row: {row!r}"
+
+    @pytest.mark.parametrize("field", ("1_0", "\u0663", "\uff11"))
+    def test_a_field_the_matrix_reader_refuses_is_refused(self, tmp_path, field):
+        m = tmp_path / "m.csv"
+        m.write_text(f"{field},2\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_matrix_csv(m)
+        p = tmp_path / "traj.csv"
+        for slot in range(5):
+            fields = ["0", "1.0", "2.0", "1", "1"]
+            fields[slot] = field
+            p.write_text(f"{TRAJECTORY_HEADER}\n{','.join(fields)}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="is not a trajectory row"):
+                load_trajectory_csv(p)
+
+    def test_signs_and_surrounding_spaces_load(self, tmp_path):
+        p = tmp_path / "traj.csv"
+        p.write_text(f"{TRAJECTORY_HEADER}\n +1 , +2.5 ,nan, +1 ,\t2 \n", encoding="utf-8")
+        [point] = load_trajectory_csv(p)
+        assert (point.step, point.loss, point.rank_above, point.rank_below) == (1, 2.5, 1, 2)
+        assert np.isnan(point.max_grad)
 
     def test_non_finite_floats_load(self, tmp_path):
         p = tmp_path / "traj.csv"

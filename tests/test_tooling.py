@@ -15,14 +15,21 @@ through ``ndarray.dot`` (see the ``network`` module docstring).  The
 descent adds its floats up left to right, not with builtin ``sum()``,
 which is compensated from Python 3.12 and would round differently there.
 Every stop status of the descent is documented where its readers look, and
-every private helper of the package has a caller in it.
+every private helper of the package has a caller in it.  The gauge tests
+pass under OpenBLAS kernel families other than the default one.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import dln_landscape
 from dln_landscape import optim
@@ -241,3 +248,42 @@ def test_every_descent_status_is_documented():
     missing = [(where, status) for where, text in (("docstring", optim.armijo_gd.__doc__), ("README", row))
                for status in statuses if f"`{status}`" not in text]
     assert not missing, f"descent statuses not documented: {missing}"
+
+
+# Runs one test file in a process whose OpenBLAS kernel family was chosen by
+# ``OPENBLAS_CORETYPE``, after printing the family the library reports.
+_UNDER_KERNEL = """
+import ctypes, sys
+import numpy, pytest
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps
+                   if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+found = (getattr(ctypes.CDLL(lib), n, None) for lib in libs for n in names)
+corename = next(f for f in found if f is not None)
+corename.restype = ctypes.c_char_p
+print("kernel", corename().decode(), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
+"""
+
+
+def test_the_gauge_tests_pass_under_other_blas_kernels():
+    # The wheel's DYNAMIC_ARCH OpenBLAS picks a kernel family per CPU, and
+    # the gauge tests check symmetries, not bytes, so they must hold on each.
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("name", "")
+    if "openblas" not in blas or not sys.platform.startswith("linux"):
+        pytest.skip(f"kernel families are chosen only in OpenBLAS on Linux, not {blas}")
+    root = PACKAGE.parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    runs = {
+        core: subprocess.Popen(
+            [sys.executable, "-c", _UNDER_KERNEL, str(root / "tests" / "test_gauge.py")],
+            cwd=root, env={**env, "OPENBLAS_CORETYPE": core},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for core in ("Haswell", "Sandybridge")
+    }
+    for core, run in runs.items():
+        out, _ = run.communicate(timeout=300)
+        assert out.startswith(f"kernel {core}\n") and run.returncode == 0, out
