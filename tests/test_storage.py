@@ -296,11 +296,10 @@ class TestTrajectoryCSV:
 
     @pytest.mark.parametrize("row", ("0,1.0,2.0,1", "0,1.0,2.0,1,1,1", "x,1.0,2.0,1,1",
                                      "0,1.0,2.0,1.5,1", "0,1.0,two,1,1",
-                                     # int() and float() read these as 10, 20.0, 3.0, 1, 2
+                                     # int() and float() read it as 10, 20.0, 3.0, 1, 2
                                      "1_0, 2_0,\u0663,+1,\u0662",
-                                     "1_0,1.0,2.0,1,1", "0,1.0,2_0.5,1,1",
-                                     "\u0663,1.0,2.0,1,1", "0,\u0662.5,2.0,1,1",
-                                     "0,1.0,2.0,\uff11,1"))
+                                     # one row per form that load_matrix_csv refuses
+                                     "1_0,1.0,2.0,1,1", "0,1.0,2.0,\uff11,1"))
     def test_bad_row_refused_with_one_line_naming_the_file(self, tmp_path, row):
         p = tmp_path / "traj.csv"
         p.write_text(f"{TRAJECTORY_HEADER}\n0,1.0,2.0,1,1\n\n{row}\n", encoding="utf-8")
