@@ -44,6 +44,7 @@ from .network import (
     FactorChain,
     QuadraticLoss,
     _finite_loss_state,
+    _norm,
     bottleneck_split,
     end_to_end,
     gradient_core,
@@ -131,7 +132,7 @@ def global_certificate(
 ) -> bool:
     """True iff the convex gradient vanishes at the end-to-end product,
     certifying an unconditional global minimum of the composite."""
-    return float(np.linalg.norm(loss.gradient(end_to_end(chain)))) <= grad_tol
+    return _norm(loss.gradient(end_to_end(chain))) <= grad_tol
 
 
 def classify(
@@ -161,8 +162,8 @@ def classify(
     _check_delta(delta)
     below, _, value, grad = _finite_loss_state(chain.factors, loss)
     grads = gradient_core(chain.factors, below, grad, range(1, chain.k + 1))
-    grad_norms = tuple(float(np.linalg.norm(g)) for g in grads.values())
-    convex_norm = float(np.linalg.norm(grad))
+    grad_norms = tuple(_norm(g) for g in grads.values())
+    convex_norm = _norm(grad)
 
     split = bottleneck_split(chain)
     rank_above = rank_below = None
@@ -171,8 +172,8 @@ def classify(
         rank_above = numerical_rank(split.above, tols.rank_tol)
         rank_below = numerical_rank(split.below, tols.rank_tol)
         above_grad, below_grad = super_gradients(chain, loss, split)
-        sg_above = float(np.linalg.norm(above_grad))
-        sg_below = float(np.linalg.norm(below_grad))
+        sg_above = _norm(above_grad)
+        sg_below = _norm(below_grad)
 
     oracle_gap = None
     if isinstance(loss, QuadraticLoss):

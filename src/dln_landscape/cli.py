@@ -18,8 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analyze import (
     Classification,
     DescentNotFoundError,
@@ -35,7 +33,7 @@ from .harness import (
     train_gd,
 )
 from .linalg import DEFAULT_GRAD_TOL, RankDeficientLiftError, Tolerances
-from .network import NoInteriorBottleneckError, QuadraticLoss, chain_loss, split_or_raise
+from .network import NoInteriorBottleneckError, QuadraticLoss, _norm, chain_loss, split_or_raise
 from .oracle import rrr_oracle
 from .perturb import (
     ConstructionFailedError,
@@ -226,7 +224,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         "layer": layer,
         "side": args.side,
         "amplification": fmt_float(amplification),
-        "update_norm": fmt_float(float(np.linalg.norm(update))),
+        "update_norm": fmt_float(_norm(update)),
         "out": str(args.out) if args.out else None,
     }
     if args.format == "json":

@@ -44,6 +44,7 @@ from .network import (
     FactorChain,
     LogCoshLoss,
     QuadraticLoss,
+    _norm,
     interior_bottleneck,
     running_product,
 )
@@ -267,7 +268,7 @@ def gen_instance(spec: InstanceSpec) -> Instance:
         factors[zero_below - 1] = np.zeros_like(factors[zero_below - 1])
         factors[zero_above - 1] = np.zeros_like(factors[zero_above - 1])
         zero_product = np.zeros((widths[-1], widths[0]))
-        if float(np.linalg.norm(loss.gradient(zero_product))) == 0.0:
+        if _norm(loss.gradient(zero_product)) == 0.0:
             raise InfeasibleConstructionError(
                 "convex gradient vanishes at the zero product; the plateau "
                 "would be a global minimum, not a critical plateau"

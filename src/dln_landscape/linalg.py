@@ -13,10 +13,16 @@ integer it returns is the SVD's either way.  Its core ``_finite_rank`` runs
 the same two steps without first scanning the input for non-finite entries,
 for a caller that has checked them already (``network.balance_gauge``), and
 ``_rank_of_spectrum`` counts singular values that a caller already holds.
+
+A sum of squares is one reduction per array, :func:`_sum_squares`, a BLAS
+dot product of the flattening with itself, and a Frobenius or Euclidean norm
+is its root, :func:`_norm`: bitwise ``np.linalg.norm`` without its dispatch.
+Every whole-array norm in the package takes it; ``network`` re-exports both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +95,27 @@ class Tolerances:
             raise ValueError(f"rank_tol must be < 1, got {self.rank_tol!r}")
 
 
+def _sum_squares(a: np.ndarray) -> float:
+    """The sum of squares of ``a``'s entries: one dot of its flattening."""
+    flat = a.ravel(order="K")
+    return float(flat.dot(flat))
+
+
+def _norm(g: np.ndarray) -> float:
+    """``np.linalg.norm(g)`` of an array of any shape or layout, bitwise,
+    without its dispatch: both take the root of :func:`_sum_squares`."""
+    return math.sqrt(_sum_squares(g))
+
+
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D float64 array and reject non-finite entries."""
+    """Coerce ``a`` to a 2-D float64 array and reject non-finite entries.
+
+    A float64 array comes back as itself, not a copy, and is scanned all the
+    same."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -171,17 +192,21 @@ def kernel_vector(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     The choice is deterministic: the right singular vector belonging to the
     smallest singular value (the one at the largest index when several are
     equally small), with the sign fixed so that the first nonzero component
-    is positive.  A zero matrix yields the first standard basis vector.
+    is positive.  A matrix of rank 0 yields the first standard basis vector;
+    one whose entries are all exactly zero (``-0.0`` included) has rank 0
+    at every tolerance and skips the SVD, as does an empty one.
 
     Raises :class:`FullColumnRankError` when ``m`` has full column rank at
     the given tolerance, i.e. no kernel direction exists.
     """
     m = ensure_matrix(m)
     cols = m.shape[1]
-    # full_matrices=True so trailing rows of vh span the kernel even for
-    # wide matrices where the thin SVD would stop at min(rows, cols).
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = _rank_of_spectrum(s, rank_tol)
+    rank = 0
+    if m.any():
+        # full_matrices=True so trailing rows of vh span the kernel even for
+        # wide matrices where the thin SVD would stop at min(rows, cols).
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+        rank = _rank_of_spectrum(s, rank_tol)
     if rank == cols:
         raise FullColumnRankError(
             f"matrix of shape {m.shape} has full column rank at rank_tol={rank_tol:g}"
@@ -227,8 +252,8 @@ def min_norm_right_solve(a, target, rank_tol: float = DEFAULT_RANK_TOL):
     zt, _, _, _ = np.linalg.lstsq(a.T, target.T, rcond=None)
     z = zt.T
     with np.errstate(over="ignore", invalid="ignore"):
-        target_norm = float(np.linalg.norm(target))
-        z_norm = float(np.linalg.norm(z))
+        target_norm = _norm(target)
+        z_norm = _norm(z)
     if not (np.isfinite(target_norm) and np.isfinite(z_norm)):
         raise ValueError("the norm of the target or of its lift overflows")
     amplification = z_norm / target_norm if target_norm > 0.0 else 0.0

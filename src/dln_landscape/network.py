@@ -13,9 +13,9 @@ objects.  No product is padded with an identity: the prefix products are
 the running product's own intermediates, and the layer gradients come from
 one backward sweep that carries the convex gradient down the chain, one
 product per layer, as backpropagation does.  A sum of squares is one
-reduction per array, :func:`_sum_squares`, a BLAS dot product of the
-flattening with itself: the quadratic loss's value, :func:`_norm` and the
-descent's squared gradient norms take it.
+reduction per array, ``linalg._sum_squares``, which this module re-exports
+with its root ``_norm``: the quadratic loss's value, every whole-array norm
+and the descent's squared gradient norms take it.
 
 Every matrix product in the package is written ``x.dot(y)``, and a chain
 ``a @ b @ c`` as ``a.dot(b).dot(c)``: the same cblas call as ``@`` (gemm,
@@ -27,10 +27,11 @@ one thread, x86-64).  From about 64 wide ``dot`` is 1–5% slower instead,
 as an extra pass that clears the output would be (192×128 times 128×128:
 77.0 against 74.0 µs).  Bitwise equality holds for operands that are
 contiguous or transposes of contiguous arrays, and the package's own
-arrays stay so: chains and losses store contiguous copies, and the descent
-copies its start.  A strided view handed to a public function falls outside
-that condition, and its products may round differently from ``@``'s.  No
-helper wraps the call, as it would put a Python call back on every product.
+arrays stay so: chains, losses and the descent's start hold read-only arrays
+that own their memory, copied from any other input (:func:`_read_only`).
+A strided view handed to a public function falls outside that condition,
+and its products may round differently from ``@``'s.  No helper wraps the
+call, as it would put a Python call back on every product.
 
 The split utilities cut a chain at an interior layer of minimum width into
 the two "super layers" above and below the cut; most of the landscape
@@ -52,7 +53,9 @@ from .linalg import (
     DEFAULT_INVARIANCE_TOL,
     DEFAULT_RANK_TOL,
     _finite_rank,
+    _norm,
     _rank_of_spectrum,
+    _sum_squares,
     ensure_matrix,
 )
 
@@ -94,21 +97,18 @@ class LossContractViolation(ValueError):
     """A loss failed its gradient-consistency or convexity spot checks."""
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float64 array.  A float64 ndarray that is read-only
+    and owns its memory, such as another chain's factor, is returned as it
+    is: none of its views can be made writable, and the package never sets
+    it writable again.  Anything else is copied, in its own memory layout,
+    and the copy frozen, so no array a caller can write is aliased."""
+    if (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=np.float64, copy=True)
     out.flags.writeable = False
     return out
-
-
-def _sum_squares(a: np.ndarray) -> float:
-    """The sum of squares of ``a``'s entries: one dot of its flattening."""
-    flat = a.ravel(order="K")
-    return float(flat.dot(flat))
-
-
-def _norm(g: np.ndarray) -> float:
-    """``np.linalg.norm(g)`` of a 2-D array, bitwise, without its dispatch."""
-    return math.sqrt(_sum_squares(g))
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,10 @@ class FactorChain:
     """An immutable chain of layer matrices.
 
     ``factors[i]`` holds layer ``i + 1``; layer ``i`` has shape
-    ``(d_i, d_{i-1})``.  Arrays are defensively copied and frozen so chains
-    are safe to share between analyses.
+    ``(d_i, d_{i-1})``.  Every factor is checked for finiteness and held
+    through :func:`_read_only`: a factor of another chain is shared as it
+    is, and any other array is copied and frozen, so chains are safe to
+    share between analyses.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -531,7 +533,7 @@ def validate_loss_contract(loss: ConvexLoss, rng: np.random.Generator) -> None:
             fd[r, c] = (hi - lo) / (2.0 * h)
         err = np.abs(grad - fd)
         bound = CONTRACT_FD_ATOL + CONTRACT_FD_RTOL * np.abs(fd)
-        if np.any(err > bound):
+        if (err > bound).any():
             worst = np.unravel_index(np.argmax(err - bound), shape)
             raise LossContractViolation(
                 f"gradient mismatch at probe {trial}, entry {worst}: "

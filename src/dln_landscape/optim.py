@@ -15,6 +15,8 @@ a critical point, at the first iterate at or below a caller's ``target``,
 after its budget, when no trial passes, or once an accepted step leaves the
 loss bit-identical.  It works on plain arrays and takes its products and
 gradients from the ``network`` core, so a step builds no chain objects.
+The start is taken through ``network._read_only``, so the layers a descent
+does not move are shared with a chain's factors, never with a writable input.
 The layers below the lowest active one never change, so their product is
 built once per call and heads the chain the loop works on: a line-search
 trial's forward products cover only the active block and the layers above
@@ -42,6 +44,7 @@ import numpy as np
 from .network import (
     ConvexLoss,
     _finite_loss_state,
+    _read_only,
     _sum_squares,
     gradient_core,
     prefix_products,
@@ -124,7 +127,12 @@ def armijo_gd(
     shipped losses an inf or NaN value that fails it, and the test on the
     passing trial keeps any loss from accepting one.  ``on_state`` is
     invoked with ``(step, factors, loss, max_grad)`` for the initial state
-    (step 0) and after every accepted step.
+    (step 0) and after every accepted step.  The start's layers are taken
+    through ``network._read_only``: read-only arrays that own their memory
+    (a chain's factors) are shared, any other input is copied and frozen.
+    So a layer the descent does not move is the start's own array in the
+    result, the layers it moves are new arrays, and no array of the result
+    or of an ``on_state`` call aliases one the caller can write.
 
     Stops with status ``stalled-critical`` when the largest active-layer
     gradient norm drops to ``stop_grad_tol``; else ``target-reached`` at the
@@ -168,7 +176,7 @@ def armijo_gd(
     if active[0] < 1 or active[-1] > len(factors):
         raise ValueError(f"active layers {active} out of range 1..{len(factors)}")
 
-    current = [np.array(m, dtype=np.float64) for m in factors]
+    current = [_read_only(m) for m in factors]
     # The frozen layers below the lowest active one, multiplied once.  As
     # products accumulate from the bottom, a trial product over this head is
     # bitwise the product over the whole chain.  The loop works on ``block``,

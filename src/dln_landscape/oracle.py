@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import Tolerances, _rank_of_spectrum, best_rank_approx, ensure_matrix
-from .network import ConvexLoss, FactorChain, _sum_squares, running_product
+from .network import ConvexLoss, FactorChain, _norm, _sum_squares, running_product
 
 __all__ = [
     "ReducedRankFit",
@@ -83,7 +83,7 @@ def finite_diff_gradient(chain: FactorChain, loss: ConvexLoss, layer: int) -> np
     with that layer replaced, without building a chain per probe.
     """
     m = chain.factor(layer)
-    step = 1e-5 * (1.0 + float(np.linalg.norm(m)))
+    step = 1e-5 * (1.0 + _norm(m))
     probe = np.array(m)
     mats = list(chain.factors)
     mats[layer - 1] = probe

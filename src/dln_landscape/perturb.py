@@ -37,6 +37,7 @@ from .network import (
     ConvexLoss,
     FactorChain,
     _finite_loss_state,
+    _norm,
     partial_product,
     prefix_products,
     running_product,
@@ -136,7 +137,7 @@ class EscapeCertificate:
 
 def default_delta(chain: FactorChain) -> float:
     """Default perturbation scale: ``1e-3 * (1 + max_i |M_i|_F)``."""
-    return 1e-3 * (1.0 + max(float(np.linalg.norm(m)) for m in chain.factors))
+    return 1e-3 * (1.0 + max(_norm(m) for m in chain.factors))
 
 
 def _check_delta(delta: float | None) -> None:
@@ -192,7 +193,7 @@ def apply_family(chain: FactorChain, family: Sequence[RankOnePerturbation]) -> F
                 f"perturbation for layer {p.layer} has w {w.shape}, v {v.shape}; "
                 f"layer is {m.shape}"
             )
-        if np.any(v != 0.0):
+        if (v != 0.0).any():
             factors[p.layer - 1] = m + np.outer(w, v)
     return FactorChain(tuple(factors))
 
@@ -209,9 +210,7 @@ def subspace_membership(
     """
     v = np.asarray(vec, dtype=np.float64)
     g = ensure_matrix(grad_matrix, "gradient matrix")
-    return float(np.linalg.norm(g.dot(v))) <= subspace_tol * float(
-        np.linalg.norm(g)
-    ) * float(np.linalg.norm(v))
+    return _norm(g.dot(v)) <= subspace_tol * _norm(g) * _norm(v)
 
 
 def _row_scores(rows: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -300,7 +299,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
     the same steps, on the views ``M_k^T, ..., M_1^T`` and ``G^T``."""
     split = split_or_raise(chain, split)
     k, flip = chain.k, side == "above"
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = _norm(grad)
     if grad_norm <= tols.grad_tol:
         raise GradientVanishesError(
             f"convex gradient norm {grad_norm:.3e} <= grad_tol "
@@ -325,7 +324,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
     containment_start = 0
     for i in range(1, j + 1):
         scores = _row_scores(prefixes[i - 1], grad)
-        if np.all(scores <= member_threshold):
+        if (scores <= member_threshold).all():
             containment_start = i
             break
 
@@ -336,7 +335,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
         # most violating row of the gradient itself, which can never lie
         # in its own null space.
         row = int(np.argmax(np.linalg.norm(grad, axis=1)))
-        u = grad[row] / np.linalg.norm(grad[row])
+        u = grad[row] / _norm(grad[row])
         nonzero = np.nonzero(u)[0]
         if nonzero.size and u[nonzero[0]] < 0.0:
             u = -u
@@ -360,19 +359,24 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
         else RankOnePerturbation(layer=i, w=kernels[i - 1], v=vs[i - 1])
         for i in (range(j, 0, -1) if flip else range(1, j + 1))
     )
-    moved = list(mats)
+    # The perturbed chain holds the chain's own arrays where no layer moves,
+    # on either side, so it shares them rather than copying them.
+    moved, factors = list(mats), list(chain.factors)
     for i in range(1, j + 1):
-        if np.any(vs[i - 1] != 0.0):
+        if (vs[i - 1] != 0.0).any():
             moved[i - 1] = mats[i - 1] + np.outer(kernels[i - 1], vs[i - 1])
+            if flip:
+                factors[k - i] = moved[i - 1].T
+            else:
+                factors[i - 1] = moved[i - 1]
     lower = running_product(moved[:j])
-    factors = _views(moved) if flip else moved
     # No layer below the cut moves on the above side: ``below`` holds the
     # perturbed chain's lower super layer there.
     product = running_product([below[split.index - 1] if flip else lower, *factors[split.index:]])
     scores = _row_scores(lower, grad)
     witness_row = int(np.argmax(scores))
-    super_gradient_norm = float(np.linalg.norm(grad.dot(lower.T)))
-    loss_delta = (loss.value(product) if np.all(np.isfinite(product)) else np.inf) - original_loss
+    super_gradient_norm = _norm(grad.dot(lower.T))
+    loss_delta = (loss.value(product) if np.isfinite(product).all() else np.inf) - original_loss
 
     diagnostics = {
         "witness_score": float(scores[witness_row]),
@@ -382,7 +386,7 @@ def _escape_walk(chain, loss, delta, tols, split, side: str,
         "containment_start": containment_start,
         "delta": float(delta),
     }
-    if not np.all(np.isfinite([scores[witness_row], super_gradient_norm, loss_delta])):
+    if not np.isfinite([scores[witness_row], super_gradient_norm, loss_delta]).all():
         raise ConstructionFailedError(f"perturbed chain overflows at delta {delta:g}", diagnostics)
     if scores[witness_row] <= member_threshold:
         raise ConstructionFailedError(

@@ -11,11 +11,14 @@ Matrix files are read by ``numpy.loadtxt``, whose C parser converts each
 field with ``PyOS_string_to_double``, the correctly rounded conversion
 behind ``float()``, so an entry reads back as the same double.  It splits
 lines at ``\\n``, ``\\r\\n`` and ``\\r`` only, skips empty lines, and strips
-whitespace around a field.  A refusal is one ``ValueError`` line that names
-the file: a file with no rows (empty or blank lines only), ragged rows, a
-line of whitespace only in a file with rows, non-finite entries, and any
-field that is not an ASCII decimal number (``1_0``, non-ASCII digits, or a
-``\\v`` or ``\\f`` that ``str.splitlines`` would take for a line break).
+whitespace around a field, Unicode whitespace included.  A refusal is one
+``ValueError`` line that names the file: a file with no rows (empty or blank
+lines only), ragged rows, a line of whitespace only in a file with rows,
+non-finite entries, any field that is not an ASCII decimal number (``1_0``,
+non-ASCII digits, or a ``\\v`` or ``\\f`` that ``str.splitlines`` would
+take for a line break), and a file that numpy parses but that holds a
+non-ASCII character or one of the separators ``\\x1c``-``\\x1f``, which
+the parser strips as whitespace (a no-break space before a digit, say).
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ __all__ = [
 INSTANCE_FORMAT = "dln-instance/1"
 CERTIFICATE_FORMAT = "dln-certificate/1"
 TRAJECTORY_HEADER = "step,loss,max_grad,rank_A,rank_B"
+# The ASCII characters that Python, and so numpy's parser, strips as
+# whitespace but a matrix file never holds.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def fmt_float(x: float) -> str:
@@ -67,7 +73,7 @@ def save_matrix_csv(path, m) -> None:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"can only store 2-D matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"refusing to store non-finite entries in {path}")
     # One %-format per row over Python floats writes the bytes of
     # ``fmt_float`` on every entry (both render ".17g") without a call per
@@ -94,8 +100,13 @@ def load_matrix_csv(path) -> np.ndarray:
             raise ValueError(_refusal(path, exc)) from None
     if m.size == 0:
         raise ValueError(f"{path} holds no matrix rows")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{path} contains non-finite entries")
+    # Checked on the raw bytes once the parse has passed, so numpy's own
+    # refusals keep their messages; about 70 us on a 500 kB file (x86-64).
+    data = Path(path).read_bytes()
+    if not data.isascii() or any(c in data for c in _SEPARATORS):
+        raise ValueError(f"{path} holds a non-ASCII character or one of \\x1c-\\x1f")
     return m
 
 

@@ -36,6 +36,7 @@ from .network import (
     FactorChain,
     LogCoshLoss,
     QuadraticLoss,
+    _norm,
     balance_gauge,
     chain_loss,
     end_to_end,
@@ -208,7 +209,7 @@ def _section_product_invariance(seed: int, trials: int) -> SectionResult:
             InstanceSpec(dims=dims, construction="rank_deficient_plateau", loss_kind=kind, seed=inst_seed)
         )
         product = end_to_end(inst.chain)
-        bound_scale = 1.0 + float(np.linalg.norm(product))
+        bound_scale = 1.0 + _norm(product)
         for delta in (1e-1, 1e-3, 1e-6):
             checks += 1
             try:
@@ -216,9 +217,7 @@ def _section_product_invariance(seed: int, trials: int) -> SectionResult:
             except ConstructionFailedError as exc:
                 errors.append(f"construction failed at delta {fmt_float(delta)} on trial {t}: {exc}")
                 continue
-            drift = float(
-                np.linalg.norm(end_to_end(cert.perturbed_chain) - product)
-            )
+            drift = _norm(end_to_end(cert.perturbed_chain) - product)
             worst = max(worst, drift / bound_scale)
             if drift > DEFAULT_INVARIANCE_TOL * bound_scale:
                 failures += 1
@@ -273,9 +272,9 @@ def _section_canonical_plateau(seed: int, trials: int) -> SectionResult:
     if value != 2.0:
         problems.append(f"loss {fmt_float(value)} != 2")
     grads = network.layer_gradients(chain, loss)
-    if any(float(np.linalg.norm(g)) != 0.0 for g in grads):
+    if any(_norm(g) != 0.0 for g in grads):
         problems.append("layer gradients not exactly zero")
-    convex_norm = float(np.linalg.norm(loss.gradient(end_to_end(chain))))
+    convex_norm = _norm(loss.gradient(end_to_end(chain)))
     if convex_norm != 2.0 * np.sqrt(2.0):
         problems.append(f"convex gradient norm {fmt_float(convex_norm)} != 2*sqrt(2)")
 
@@ -335,8 +334,7 @@ def _lift_outcomes(cases, draw_target):
             achieved = partial_product(edited, split.index + 1, edited.k) - split.above
         else:
             achieved = partial_product(edited, 1, split.index) - split.below
-        err = float(np.linalg.norm(achieved - target))
-        yield layer, err, float(np.linalg.norm(target)), float(np.linalg.norm(update)), amplification
+        yield layer, _norm(achieved - target), _norm(target), _norm(update), amplification
 
 
 def _section_lift_exactness(seed: int, trials: int) -> SectionResult:

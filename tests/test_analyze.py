@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,7 @@ from dln_landscape.analyze import (
     super_gradients,
     two_layer_reduction,
 )
-from dln_landscape.harness import CONSTRUCTIONS, InstanceSpec, gen_instance
+from dln_landscape.harness import CONSTRUCTIONS, InstanceSpec, _generic_factors, gen_instance
 from dln_landscape.linalg import DEFAULT_GRAD_TOL, Tolerances, best_rank_approx, numerical_rank
 from dln_landscape.network import (
     FactorChain,
@@ -367,6 +369,63 @@ def test_mirrored_classify_makes_one_first_order_pass(monkeypatch):
     calls = _count_first_order_calls(monkeypatch, chain, base.loss)
     assert calls == {"_gradient": 2, "_value": 2, "_residual": 3, "prefix_products": 1,
                      "view_prefix_products": 1}
+
+
+def _plateau_escaping_on(side: str, kind: str):
+    """A depth-16 ``rank_deficient_plateau`` chain, 8 wide with a 3-wide cut,
+    that escapes on ``side``.  As generated it has a zero layer on each side
+    of the cut and escapes below; for the above side its zero upper layer
+    gets back its generic factor and a second lower layer is zeroed.  Every
+    kernel product the walk takes then holds a zero layer."""
+    dims = (8,) * 8 + (3,) + (8,) * 8
+    spec = InstanceSpec(dims, construction="rank_deficient_plateau", loss_kind=kind, seed=3)
+    inst = gen_instance(spec)
+    chain = inst.chain
+    if side == "above":
+        zero_below, zero_above = (i + 1 for i, m in enumerate(chain.factors) if not m.any())
+        chain = chain.with_factor(zero_above, _generic_factors(spec)[zero_above - 1])
+        other = 1 if zero_below != 1 else 2
+        chain = chain.with_factor(other, np.zeros_like(chain.factor(other)))
+    return chain, inst.loss
+
+
+@pytest.mark.parametrize("side", ("below", "above"))
+@pytest.mark.parametrize("kind", ("quadratic", "logcosh"))
+def test_a_plateau_escape_runs_no_kernel_svd(monkeypatch, side, kind):
+    chain, loss = _plateau_escaping_on(side, kind)
+    kernels, svds = [], []
+    kernel_vector, svd = perturb.kernel_vector, np.linalg.svd
+
+    def counted_kernel_vector(m, rank_tol):
+        kernels.append(m)
+        return kernel_vector(m, rank_tol)
+
+    def counted_svd(*args, **kwargs):
+        svds.append(sys._getframe(1).f_code is kernel_vector.__code__)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(perturb, "kernel_vector", counted_kernel_vector)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    report = classify(chain, loss)
+    assert report.label is Classification.ESCAPABLE_PLATEAU and report.escape.side == side
+    # One kernel per layer on the perturbed side: 8 above or below the cut.
+    assert len(kernels) == 8 and not any(m.any() for m in kernels)
+    assert svds and not any(svds)
+
+
+@pytest.mark.parametrize("side", ("below", "above"))
+def test_a_certificate_shares_every_layer_it_does_not_move(side):
+    if side == "below":
+        chain, loss = _plateau_escaping_on(side, "quadratic")
+    else:
+        chain, loss = _lower_deficient_critical((3, 4, 2, 4, 4, 3), "quadratic", 5)
+    cert = classify(chain, loss).escape
+    assert cert.side == side
+    moved = {p.layer for p in cert.family if p.v.any() and p.w.any()}
+    assert moved and len(moved) < chain.k
+    for layer in range(1, chain.k + 1):
+        shared = cert.perturbed_chain.factor(layer) is chain.factor(layer)
+        assert shared is (layer not in moved)
 
 
 def _certificate_bytes(cert) -> list:

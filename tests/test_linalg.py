@@ -34,6 +34,14 @@ def _count_svd(monkeypatch) -> list:
     return calls
 
 
+def _refuse_svd(monkeypatch) -> None:
+    """Patch ``np.linalg.svd`` to fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran where none was expected")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
 def _svd_rank(m, rank_tol: float) -> int:
     return _rank_of_spectrum(np.linalg.svd(m, compute_uv=False), rank_tol)
 
@@ -332,3 +340,31 @@ class TestKernelVectorCost:
         w = kernel_vector(m)
         assert len(calls) == 1
         assert np.linalg.norm(m @ w) <= 1e-9 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (0, 3)])
+    @pytest.mark.parametrize("negative_zeros", [False, True])
+    def test_an_exact_zero_matrix_skips_the_svd(self, monkeypatch, shape, negative_zeros):
+        _refuse_svd(monkeypatch)
+        m = np.zeros(shape)
+        if negative_zeros:
+            m.flat[::2] = -0.0
+            assert m.size == 0 or np.signbit(m).any()
+        w = kernel_vector(m)
+        want = np.zeros(shape[1])
+        want[0] = 1.0
+        assert w.tobytes() == want.tobytes()
+
+    def test_an_empty_matrix_without_columns_has_no_kernel(self, monkeypatch):
+        _refuse_svd(monkeypatch)
+        with pytest.raises(FullColumnRankError):
+            kernel_vector(np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 3), (3, 3)])
+    def test_a_nonzero_rank_deficient_matrix_gets_the_svds_vector(self, monkeypatch, shape):
+        m = _rng(7).standard_normal(shape)
+        m[:, -1] = m[:, 0]
+        want = np.linalg.svd(m, full_matrices=True)[2][-1]
+        want = -want if want[np.nonzero(want)[0][0]] < 0.0 else want
+        calls = _count_svd(monkeypatch)
+        assert kernel_vector(m).tobytes() == want.tobytes()
+        assert len(calls) == 1

@@ -111,6 +111,52 @@ class TestFactorChain:
         with pytest.raises(ValueError):
             chain.factor(1)[0, 0] = 5.0
 
+    def test_a_chain_of_another_chains_factors_shares_them(self):
+        chain = _random_chain((3, 4, 2, 5))
+        again = FactorChain(chain.factors)
+        assert all(a is b for a, b in zip(again.factors, chain.factors))
+        edited = chain.with_factor(2, np.zeros((2, 4)))
+        assert edited.factors[0] is chain.factors[0] and edited.factors[2] is chain.factors[2]
+        loss = QuadraticLoss(chain.factors[0], np.ones((4, 3)))
+        assert loss.inputs is chain.factors[0]
+
+    def test_a_writable_input_is_still_copied(self):
+        m = np.ones((4, 3))
+        chain = FactorChain((m, np.ones((2, 4))))
+        assert chain.factor(1) is not m and not np.shares_memory(chain.factor(1), m)
+        m[:] = 7.0
+        assert (chain.factor(1) == 1.0).all()
+
+    @pytest.mark.parametrize("make", ["read-only view of a writable array",
+                                      "read-only view of a read-only array",
+                                      "read-only float32 array"])
+    def test_a_read_only_array_that_is_not_float64_or_owned_is_copied(self, make):
+        base = np.arange(12.0).reshape(4, 3)
+        if make == "read-only view of a writable array":
+            m = base.view()
+        elif make == "read-only view of a read-only array":
+            base.flags.writeable = False
+            m = base[:, :]
+        else:
+            m = base.astype(np.float32)
+        m.flags.writeable = False
+        chain = FactorChain((m, np.ones((2, 4))))
+        held = chain.factor(1)
+        assert held is not m and held.flags.owndata and not held.flags.writeable
+        assert held.dtype == np.float64 and np.array_equal(held, base)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_frozen_owned_array_that_is_not_finite_is_refused(self, bad):
+        m = np.ones((4, 3))
+        m[2, 1] = bad
+        m.flags.writeable = False
+        with pytest.raises(ValueError, match="non-finite"):
+            FactorChain((m, np.ones((2, 4))))
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticLoss(m, np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            LogCoshLoss(m)
+
     def test_with_factor_replaces_one_layer(self):
         chain = _random_chain((3, 4, 2))
         new = np.zeros((4, 3))
@@ -499,3 +545,15 @@ class TestSumSquares:
         a = _operand(_rng(seed), rows, cols, layout)
         assert _norm(a) == math.sqrt(_sum_squares(a)) == np.linalg.norm(a)
         assert _sum_squares(a) == pytest.approx(float(np.add.reduce(a * a, None)), rel=1e-13)
+
+    @given(st.integers(0, 2**32 - 1), _WIDTH, _WIDTH, st.sampled_from("CFT1r"))
+    def test_norm_is_np_linalg_norm_byte_for_byte(self, seed, rows, cols, form):
+        # 1-D: a vector, or a row of a matrix as the escape walk takes it.
+        rng = _rng(seed)
+        if form == "1":
+            a = rng.standard_normal(rows * cols)
+        elif form == "r":
+            a = rng.standard_normal((rows, cols))[rows // 2]
+        else:
+            a = _operand(rng, rows, cols, form)
+        assert np.float64(_norm(a)).tobytes() == np.linalg.norm(a).tobytes()

@@ -214,6 +214,30 @@ def test_products_skip_the_frozen_layers_below(monkeypatch):
     assert gradient and {len(args[0]) for _, args, _ in gradient} == {block}
 
 
+def test_the_frozen_layers_of_a_chain_start_are_shared():
+    chain, loss = _start((6, 6, 6, 6, 3, 6, 6, 6, 6), "rank_deficient_plateau", "quadratic", 2)
+    result = armijo_gd(chain.factors, loss, range(5, chain.k + 1), 10, STOP_GRAD_TOL)
+    assert result.steps > 0
+    assert all(a is b for a, b in zip(result.factors[:4], chain.factors[:4]))
+    assert not any(a is b for a, b in zip(result.factors[4:], chain.factors[4:]))
+
+
+@pytest.mark.parametrize("steps", [0, 10])
+def test_a_writable_start_is_never_aliased(steps):
+    chain, loss = _start((6, 6, 6, 6, 3, 6, 6, 6, 6), "rank_deficient_plateau", "quadratic", 2)
+    start = [np.array(m) for m in chain.factors]
+    seen = []
+    result = armijo_gd(start, loss, range(5, chain.k + 1), steps, STOP_GRAD_TOL,
+                       on_state=lambda step, factors, value, max_grad: seen.extend(factors))
+    assert result.steps == steps
+    assert not any(np.shares_memory(a, b) for a in result.factors + seen for b in start)
+    frozen = result.factors[:4]
+    assert not any(m.flags.writeable for m in frozen)
+    for m in start:
+        m[:] = 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(frozen, chain.factors[:4]))
+
+
 def _logging_cores(monkeypatch, cls, log):
     """Replace the loss cores ``_residual``, ``_value`` and ``_gradient`` of
     ``cls`` with wrappers that record ``(name, (argument,), result)``."""

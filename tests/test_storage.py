@@ -154,10 +154,12 @@ def test_reader_matches_per_entry_float(tmp_path_factory, text):
 
 
 # Inputs the reader refuses: name -> (file text, a fragment of the message,
-# whether the per-entry reference reads it).  The last five the reference
-# accepts and numpy's parser does not: ``float()`` takes digit separators and
-# any Unicode digit, and ``str.splitlines`` breaks lines at ``\v`` and ``\f``
-# and skips whitespace-only lines.
+# whether the per-entry reference reads it).  The five from "digit separator"
+# on the reference accepts and numpy's parser does not: ``float()`` takes
+# digit separators and any Unicode digit, and ``str.splitlines`` breaks lines
+# at ``\v`` and ``\f`` and skips whitespace-only lines.  The last two numpy's
+# parser accepts, stripping the no-break space and ``\x1f`` as whitespace,
+# and the reader refuses after the parse; ``float()`` strips the first too.
 _REFUSED_CSV = {
     "empty file": ("", "holds no matrix rows", False),
     "blank lines only": ("\n  \n\t\n", "holds no matrix rows", False),
@@ -167,6 +169,8 @@ _REFUSED_CSV = {
     "vertical tab line break": ("1,2\v3,4\n", "could not convert string", True),
     "form feed line break": ("1,2\f3,4\n", "could not convert string", True),
     "non-ASCII digits": ("\u0661,\uff12\n", "could not convert string", True),
+    "no-break space before a digit": ("\u00a01,2\n", "holds a non-ASCII character", True),
+    "unit separator before a digit": ("\x1f1,2\n", "holds a non-ASCII character", False),
 }
 
 

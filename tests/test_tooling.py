@@ -14,6 +14,8 @@ nothing.  Every name a module imports is used in it or listed in its
 through ``ndarray.dot`` (see the ``network`` module docstring).  The
 descent adds its floats up left to right, not with builtin ``sum()``,
 which is compensated from Python 3.12 and would round differently there.
+A whole-array norm is ``_norm``, not ``np.linalg.norm``, and ``np.all`` and
+``np.any`` are written as the array methods.
 Every stop status of the descent is documented where its readers look, and
 every private helper of the package has a caller in it.  The gauge tests
 pass under OpenBLAS kernel families other than the default one.
@@ -236,6 +238,22 @@ def test_every_sum_of_squares_is_one_reduction():
         and _is_square(node.args[0])
     ]
     assert not found, f"sums of squares not taken with _sum_squares: {found}"
+
+
+def test_whole_array_norms_and_reductions_skip_the_function_forms():
+    # ``linalg._norm`` is bitwise ``np.linalg.norm`` of a whole array without
+    # its dispatch, and ``x.all()`` / ``x.any()`` are ``np.all(x)`` /
+    # ``np.any(x)`` without theirs.  Row norms (``axis=``) stay on numpy.
+    found = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in _module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (ast.unparse(node.func) in ("np.all", "np.any", "numpy.all", "numpy.any")
+             or (ast.unparse(node.func) in ("np.linalg.norm", "numpy.linalg.norm")
+                 and len(node.args) < 3 and all(kw.arg != "axis" for kw in node.keywords)))
+    ]
+    assert not found, f"np.all, np.any or a whole-array np.linalg.norm: {found}"
 
 
 def test_every_descent_status_is_documented():
